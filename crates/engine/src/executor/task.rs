@@ -2,7 +2,7 @@
 //! coalescing state machine, and the per-stage wake hub.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, Weak};
 use std::time::Instant;
 
@@ -18,7 +18,9 @@ pub(crate) enum Step {
     Yield,
     /// Nothing to do before `until`: park on the timer wheel. An
     /// external wake (new input, freed queue slot) requeues the task
-    /// earlier; the timer entry then fires as a harmless spurious wake.
+    /// earlier. The task keeps at most one armed wheel entry, so it may
+    /// also run *before* `until` (an entry armed by an earlier park
+    /// fires first): every park site re-checks its own condition.
     Park {
         /// Earliest instant the task wants to run again.
         until: Instant,
@@ -57,6 +59,10 @@ const DONE: u8 = 4;
 /// One scheduled activation.
 pub(crate) struct Task {
     state: AtomicU8,
+    /// Wheel tick of this task's live timer entry, 0 when none is armed.
+    /// Read and written only under the timer wheel's lock (hence
+    /// `Relaxed`); an entry whose tick differs is superseded.
+    pub(super) timer_tick: AtomicU64,
     /// The activation, taken on completion. Uncontended in practice —
     /// only the worker currently running the task locks it; the mutex
     /// exists to make the container `Sync`.
@@ -78,6 +84,7 @@ impl Task {
         let done = Arc::new(AtomicBool::new(false));
         let task = Arc::new(Task {
             state: AtomicU8::new(QUEUED),
+            timer_tick: AtomicU64::new(0),
             act: Mutex::new(Some(act)),
             key,
             shared,
@@ -136,6 +143,12 @@ impl Task {
     pub(super) fn requeue_local(self: &Arc<Self>, shared: &Arc<Shared>, worker: usize) {
         self.state.store(QUEUED, Ordering::Release);
         shared.queues.push_local(worker, Arc::clone(self));
+    }
+
+    /// Whether a wake has put the task back in line (test probe).
+    #[cfg(test)]
+    pub(super) fn is_queued(&self) -> bool {
+        self.state.load(Ordering::Acquire) == QUEUED
     }
 
     pub(super) fn activation(&self) -> MutexGuard<'_, Option<Box<dyn Activation>>> {

@@ -98,9 +98,12 @@ impl RemoteWake {
         Arc::new(RemoteWake { armed: AtomicBool::new(false), slot: Mutex::new(None) })
     }
 
-    /// Point the handle at the currently registered source.
+    /// Point the handle at the currently registered source, and service
+    /// it once: the source may have armed and parked before the slot was
+    /// set, and a ping in that window found no reactor to notify.
     pub(crate) fn install(&self, reactor: Reactor, token: Token) {
-        *self.slot.lock().unwrap_or_else(|p| p.into_inner()) = Some((reactor, token));
+        *self.slot.lock().unwrap_or_else(|p| p.into_inner()) = Some((reactor.clone(), token));
+        reactor.notify(token);
     }
 
     /// Detach (source left the reactor); pings become no-ops.
@@ -123,6 +126,7 @@ impl RemoteWake {
                 self.slot.lock().unwrap_or_else(|p| p.into_inner()).as_ref()
             {
                 reactor.notify(*token);
+                crate::executor::note_reactor_notify();
             }
         }
     }
@@ -260,8 +264,10 @@ impl StageWorker {
 /// How many queued zero-service packets one activation may process
 /// before yielding, so co-scheduled stages stay responsive.
 const RECV_BATCH: usize = 64;
-/// Retry cadence for a blocking send into a full queue; a wake from the
-/// draining consumer short-circuits it.
+/// Retry cadence for a blocking send into a full queue. It is no longer
+/// than the timer granularity, so the pool sleeps it inline and a wake
+/// from the draining consumer cannot cut it short: on a window-2 remote
+/// edge it paces the stage at about two packets per tick.
 const SEND_RETRY: Duration = Duration::from_millis(1);
 
 /// One packet (or EOS marker) waiting in the stage's outbox.
@@ -987,5 +993,48 @@ impl StageTask {
         });
         self.stats.params = std::mem::take(&mut self.trajectories);
         self.stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gates_net::{Directive, Ready, Source};
+    use std::os::unix::io::{AsRawFd, RawFd};
+    use std::os::unix::net::UnixStream;
+    use std::sync::mpsc;
+
+    /// Reports every service; wants nothing but (never-arriving) reads.
+    struct Counting {
+        sock: UnixStream,
+        serviced: mpsc::Sender<()>,
+    }
+    impl Source for Counting {
+        fn fd(&self) -> RawFd {
+            self.sock.as_raw_fd()
+        }
+        fn service(&mut self, _ready: Ready, _now: Instant) -> Directive {
+            let _ = self.serviced.send(());
+            Directive::read()
+        }
+    }
+
+    #[test]
+    fn ping_before_install_is_not_lost() {
+        let reactor = Reactor::spawn("wake-test").expect("spawn reactor");
+        let (sock, _peer) = UnixStream::pair().expect("socket pair");
+        let (tx, serviced) = mpsc::channel();
+        let token = reactor.register(Box::new(Counting { sock, serviced: tx }));
+        let patience = Duration::from_secs(5);
+        serviced.recv_timeout(patience).expect("registration services the source once");
+
+        // The start-up race: the source armed and parked, the stage
+        // pinged, and only then did the handle learn where to send it.
+        let wake = RemoteWake::new();
+        wake.arm();
+        wake.ping();
+        wake.install(reactor.clone(), token);
+        serviced.recv_timeout(patience).expect("the lost ping is made up on install");
+        reactor.shutdown();
     }
 }
