@@ -2,12 +2,13 @@
 //!
 //! Every worker socket — the data listener, each accepted in-edge, each
 //! per-edge sender connection, and (after the handshake) the control
-//! link to the coordinator — is a [`Source`] registered on a small
-//! fixed [`ReactorPool`] instead of owning a blocking OS thread. The
-//! reactor watches readiness (level-triggered `epoll`) and calls each
-//! source's `service` exactly when there is something to do; an idle
-//! data plane makes no wakeups beyond the 25 ms exception sweep on
-//! attached in-edges.
+//! link to the coordinator — is a [`Source`] registered on the reactor
+//! of one of the worker's executor pool threads (a [`ReactorPool`] over
+//! the first `--reactors` of them) instead of owning a blocking OS
+//! thread. The reactor watches readiness (level-triggered `epoll`) and
+//! calls each source's `service` exactly when there is something to do;
+//! an idle data plane makes no wakeups beyond the 25 ms exception sweep
+//! on attached in-edges.
 //!
 //! Protocol behavior is kept byte-identical to the old thread-per-socket
 //! plane: the same handshake, the same coalescing and reconnect
@@ -41,7 +42,8 @@ use gates_net::{
 use super::proto::{decode_ctrl, decode_exception, encode_exception, CtrlMsg};
 use super::worker::{DeliveryStats, InEdge, InEdgeRegistry, LinkReporter};
 use super::DistConfig;
-use crate::runtime::{Control, RemoteWake};
+use crate::executor::WakeHub;
+use crate::runtime::{Control, EdgeCredit, Queued, RemoteWake};
 
 /// How often an attached in-edge sweeps for stage exceptions to relay
 /// upstream (and for partition flips). The old thread plane polled its
@@ -67,12 +69,16 @@ pub(super) const MAX_COALESCED_BYTES: usize = 256 * 1024;
 /// [`ACK_SKIP`]. Ack frames are control traffic: the chaos fate walk
 /// never touches them.
 ///
-/// Cumulative delivered cursor — everything `<= seq` reached the
-/// receiving stage. Opens sender credit; retained frames stay for
-/// possible failover replay until a durable ack covers them.
+/// Cumulative delivered cursor: on a blocking edge, everything `<= seq`
+/// was *dequeued* by the receiving stage; on a lossy edge, it reached
+/// the stage's queue. Opens sender credit, so a blocking edge has at
+/// most its credit window of packets waiting at the receiver; retained
+/// frames stay for possible failover replay until a durable ack covers
+/// them.
 pub(super) const ACK_DELIVERED: u32 = 0;
 /// The receiver is missing `seq + 1` but has seen later frames: replay
-/// everything retained past `seq`. Implies delivery through `seq`.
+/// everything retained past `seq`. Opens no credit: `seq` is the queue
+/// cursor, which on a blocking edge runs ahead of what was consumed.
 pub(super) const ACK_NAK: u32 = 1;
 /// A checkpoint covering everything `<= seq` was relayed toward the
 /// coordinator: the sender may trim its replay retention to `seq`.
@@ -145,14 +151,16 @@ impl Source for ListenerSource {
             if self.ctx.stop.load(Ordering::Relaxed) {
                 return Directive::close();
             }
-            match self.listener.accept() {
-                Ok((socket, _peer)) => {
+            match accept_data(&self.listener) {
+                Ok(socket) => {
                     if self.ctx.partitioned.load(Ordering::Relaxed) {
                         continue;
                     }
-                    let conn = DataInSource::new(socket, self.ctx.clone(), now);
                     let reactor = self.ctx.reactors.pick();
-                    let token = reactor.register(Box::new(conn));
+                    let token = reactor.register_with(|token| {
+                        let me = (reactor.clone(), token);
+                        Box::new(DataInSource::new(socket, self.ctx.clone(), now, me))
+                    });
                     self.ctx.notify.add(reactor, token);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -163,6 +171,15 @@ impl Source for ListenerSource {
         }
         Directive::read()
     }
+}
+
+/// Accept one data connection. Its acks and exception frames are small
+/// writes the peer waits for: with Nagle on, each could sit behind the
+/// peer's delayed ACK for tens of milliseconds.
+fn accept_data(listener: &TcpListener) -> std::io::Result<TcpStream> {
+    let (socket, _peer) = listener.accept()?;
+    socket.set_nodelay(true)?;
+    Ok(socket)
 }
 
 /// Where one accepted data connection is in its lifecycle.
@@ -182,11 +199,11 @@ enum InState {
 /// re-log) the packet.
 enum Held {
     /// Into the edge's own stage queue.
-    Stage(Packet),
+    Stage(Queued),
     /// Re-route to a sibling replica's queue (shard-ownership fixup).
-    Sibling(Packet, Sender<Packet>, u32),
+    Sibling(Queued, Sender<Queued>, u32),
     /// The edge's single end-of-stream marker.
-    Eos(Packet),
+    Eos(Queued),
 }
 
 /// One accepted data connection, reactor-driven: `EdgeHello` →
@@ -199,6 +216,11 @@ pub(super) struct DataInSource {
     out: BytesMut,
     state: InState,
     ctx: PlaneCtx,
+    /// This connection's own reactor and token, for the credit wake.
+    me: (Reactor, Token),
+    /// Credit of the attached edge's current sequence space: tagged onto
+    /// every delivered packet, acked back as the stage consumes.
+    credit: Option<Arc<EdgeCredit>>,
     /// At most one parked delivery: decoding pauses while it waits for
     /// queue space, so backpressure reaches the socket (and the sender).
     held: Option<Held>,
@@ -224,7 +246,7 @@ pub(super) struct DataInSource {
 }
 
 impl DataInSource {
-    fn new(stream: TcpStream, ctx: PlaneCtx, now: Instant) -> DataInSource {
+    fn new(stream: TcpStream, ctx: PlaneCtx, now: Instant, me: (Reactor, Token)) -> DataInSource {
         let reader = PooledReader::new(ctx.buffers.clone());
         let hello_deadline = now + ctx.cfg.connect_timeout;
         let lookup_deadline = now + 2 * ctx.cfg.connect_timeout;
@@ -234,6 +256,8 @@ impl DataInSource {
             out: BytesMut::new(),
             state: InState::Hello,
             ctx,
+            me,
+            credit: None,
             held: None,
             held_seq: None,
             highest_seen: 0,
@@ -275,14 +299,16 @@ impl DataInSource {
 
     /// Route one packet toward its stage queue without blocking; a full
     /// blocking queue hands the packet back as a [`Held`] to retry.
-    fn route(&mut self, ie: &Arc<InEdge>, packet: Packet) -> Option<Held> {
+    fn route(&mut self, ie: &Arc<InEdge>, packet: Packet, seq: u64) -> Option<Held> {
         if !packet.is_eos()
             && ie.announce_resume.load(Ordering::Relaxed)
             && ie.announce_resume.swap(false, Ordering::Relaxed)
         {
             ie.reporter.record(LinkEventKind::Resumed, "first packet after failover");
         }
-        if packet.is_eos() {
+        let credit = self.credit.clone().expect("an attached connection has a credit");
+        let queued = Queued { packet, credit: Some((credit, seq)) };
+        if queued.packet.is_eos() {
             // Exactly-once: a reconnecting sender re-sends nothing, but
             // a drain-injected marker may race a late real one.
             if !self.eos_claimed {
@@ -291,7 +317,7 @@ impl DataInSource {
                 }
                 self.eos_claimed = true;
             }
-            return self.push_eos(ie, packet);
+            return self.push_eos(ie, queued);
         }
         // Ownership check: a sender that routed with a shard map older
         // than a mid-flight split/merge (or a placement-table race
@@ -300,26 +326,26 @@ impl DataInSource {
         // reject with the typed error — never process on the wrong
         // shard.
         if let Some(sh) = &ie.shard {
-            let owner = sh.router.route(packet.key) as u32;
+            let key = queued.packet.key;
+            let owner = sh.router.route(key) as u32;
             if owner != sh.ordinal {
-                let err =
-                    ShardError::WrongShard { key: packet.key, owner, delivered_to: sh.ordinal };
+                let err = ShardError::WrongShard { key, owner, delivered_to: sh.ordinal };
                 match sh.siblings.get(&owner) {
                     Some((tx, wake)) => {
                         ie.reporter
                             .record(LinkEventKind::Misrouted, format!("{err}; re-routed locally"));
                         let (tx, wake) = (tx.clone(), *wake);
                         if ie.blocking {
-                            return match tx.try_send(packet) {
+                            return match tx.try_send(queued) {
                                 Ok(()) => {
                                     ie.hub.wake(wake);
                                     None
                                 }
-                                Err(TrySendError::Full(p)) => Some(Held::Sibling(p, tx, wake)),
+                                Err(TrySendError::Full(q)) => Some(Held::Sibling(q, tx, wake)),
                                 Err(TrySendError::Disconnected(_)) => None,
                             };
                         }
-                        if tx.try_send(packet).is_ok() {
+                        if tx.try_send(queued).is_ok() {
                             ie.hub.wake(wake);
                         } else {
                             ie.drops.fetch_add(1, Ordering::Relaxed);
@@ -337,16 +363,16 @@ impl DataInSource {
             }
         }
         if ie.blocking {
-            return match ie.data_tx.try_send(packet) {
+            return match ie.data_tx.try_send(queued) {
                 Ok(()) => {
                     ie.wake_receiver();
                     None
                 }
-                Err(TrySendError::Full(p)) => Some(Held::Stage(p)),
+                Err(TrySendError::Full(q)) => Some(Held::Stage(q)),
                 Err(TrySendError::Disconnected(_)) => None,
             };
         }
-        if ie.data_tx.try_send(packet).is_ok() {
+        if ie.data_tx.try_send(queued).is_ok() {
             ie.wake_receiver();
         } else {
             ie.drops.fetch_add(1, Ordering::Relaxed);
@@ -354,8 +380,8 @@ impl DataInSource {
         None
     }
 
-    fn push_eos(&mut self, ie: &Arc<InEdge>, packet: Packet) -> Option<Held> {
-        match ie.data_tx.try_send(packet) {
+    fn push_eos(&mut self, ie: &Arc<InEdge>, queued: Queued) -> Option<Held> {
+        match ie.data_tx.try_send(queued) {
             Ok(()) => {
                 ie.wake_receiver();
                 self.eos_claimed = false;
@@ -404,17 +430,28 @@ impl DataInSource {
         }
     }
 
+    /// What the sender may count as delivered: on a blocking edge only
+    /// what the stage dequeued, so the sender's credit window bounds the
+    /// packets waiting here; on a lossy edge, arrival in the queue.
+    fn delivered(&self, ie: &InEdge) -> u64 {
+        match (&self.credit, ie.blocking) {
+            (Some(credit), true) => credit.consumed(),
+            _ => ie.cursor.load(Ordering::Acquire),
+        }
+    }
+
     /// Queue at-least-once acks for the sender: cumulative delivered
     /// and durable cursors when they moved, plus (throttled) a NAK when
     /// this connection has seen past a gap the stage never received.
     /// NAKs are suppressed while a delivery is parked — the "gap" would
     /// just be the held frame itself.
     fn queue_acks(&mut self, ie: &Arc<InEdge>, now: Instant) {
-        let cursor = ie.cursor.load(Ordering::Acquire);
-        if cursor > self.last_acked {
-            encode_frame_into(&ack_frame(ACK_DELIVERED, cursor), &mut self.out);
-            self.last_acked = cursor;
+        let delivered = self.delivered(ie);
+        if delivered > self.last_acked {
+            encode_frame_into(&ack_frame(ACK_DELIVERED, delivered), &mut self.out);
+            self.last_acked = delivered;
         }
+        let cursor = ie.cursor.load(Ordering::Acquire);
         let durable = ie.durable.load(Ordering::Acquire);
         if durable > self.last_durable {
             encode_frame_into(&ack_frame(ACK_DURABLE, durable), &mut self.out);
@@ -470,10 +507,14 @@ impl Source for DataInSource {
     fn service(&mut self, _ready: Ready, now: Instant) -> Directive {
         if self.ctx.stop.load(Ordering::Relaxed) {
             // Engine shutdown, not a link failure: one last held-packet
-            // attempt (mirror of the old stop-path try_send), then out.
+            // attempt (mirror of the old stop-path try_send) and one
+            // last ack, so a sender waiting on the final credit can
+            // finish, then out.
             if let InState::Attached(ie) = &self.state {
                 let ie = Arc::clone(ie);
                 self.retry_held(&ie);
+                self.queue_acks(&ie, now);
+                self.pump_out();
             }
             return Directive::close();
         }
@@ -536,10 +577,18 @@ impl Source for DataInSource {
                             } else {
                                 incarnation != stored
                             };
-                            if reset {
-                                ie.cursor.store(0, Ordering::Release);
-                                ie.durable.store(0, Ordering::Release);
-                            }
+                            let credit = {
+                                let mut credit =
+                                    ie.credit.lock().unwrap_or_else(|p| p.into_inner());
+                                if reset {
+                                    ie.cursor.store(0, Ordering::Release);
+                                    ie.durable.store(0, Ordering::Release);
+                                    *credit = EdgeCredit::new(0, ie.blocking);
+                                }
+                                Arc::clone(&credit)
+                            };
+                            credit.ack.install(self.me.0.clone(), self.me.1);
+                            self.credit = Some(credit);
                             ie.sender_incarnation.store(incarnation, Ordering::Release);
                             let nth = ie.connections.fetch_add(1, Ordering::Relaxed);
                             ie.connected.store(true, Ordering::Relaxed);
@@ -613,7 +662,7 @@ impl Source for DataInSource {
                                         // the sender's frame arrived, and
                                         // re-requesting it cannot fix it.
                                         if let Ok(packet) = Packet::from_frame(&f) {
-                                            self.held = self.route(&ie, packet);
+                                            self.held = self.route(&ie, packet, f.seq);
                                             if self.held.is_some() {
                                                 self.held_seq = Some(f.seq);
                                                 break;
@@ -673,6 +722,14 @@ impl Source for DataInSource {
                     }
                     self.queue_acks(&ie, now);
                     let want_write = self.pump_out();
+                    // Wait for the stage's next dequeue; one that raced
+                    // the ack above is acked on the next service.
+                    if let Some(credit) = self.credit.as_ref().filter(|_| ie.blocking) {
+                        credit.ack.arm();
+                        if credit.consumed() > self.last_acked {
+                            credit.ack.ping();
+                        }
+                    }
                     if self.held.is_some() {
                         return Directive {
                             want_read: false,
@@ -742,13 +799,16 @@ pub(super) enum ConnFate {
 /// reports a [`ConnFate`] and leaves the reactor.
 pub(super) struct SenderConn {
     fs: FrameStream,
-    rx: Receiver<Packet>,
+    rx: Receiver<Queued>,
     upstream: Sender<Control>,
     partitioned: Arc<AtomicBool>,
     stop: Arc<AtomicBool>,
     reporter: LinkReporter,
     fate: Sender<ConnFate>,
     wake: Arc<RemoteWake>,
+    /// Wake hub and key of the stage writing into the bridge, woken
+    /// when it is blocked on a full bridge and packets were taken.
+    producer: (Arc<WakeHub>, u32),
     /// The edge's acked replay window, shared with the tender thread
     /// (which replays from it across reconnects).
     window: Arc<Mutex<AckWindow>>,
@@ -774,13 +834,14 @@ impl SenderConn {
     #[allow(clippy::too_many_arguments)]
     pub(super) fn new(
         fs: FrameStream,
-        rx: Receiver<Packet>,
+        rx: Receiver<Queued>,
         upstream: Sender<Control>,
         partitioned: Arc<AtomicBool>,
         stop: Arc<AtomicBool>,
         reporter: LinkReporter,
         fate: Sender<ConnFate>,
         wake: Arc<RemoteWake>,
+        producer: (Arc<WakeHub>, u32),
         window: Arc<Mutex<AckWindow>>,
         stats: DeliveryStats,
     ) -> SenderConn {
@@ -793,6 +854,7 @@ impl SenderConn {
             reporter,
             fate,
             wake,
+            producer,
             window,
             stats,
             credit_blocked: false,
@@ -815,7 +877,8 @@ impl SenderConn {
     /// Encode waiting bridge packets into the write buffer (stamping
     /// each with the next link sequence number and retaining the frame
     /// in the replay window), up to the coalescing cap, the credit
-    /// window, or the end-of-stream marker.
+    /// window, or the end-of-stream marker; then wake the stage if it is
+    /// parked on the bridge.
     fn ingest(&mut self) {
         if self.rx_down {
             return;
@@ -830,6 +893,7 @@ impl SenderConn {
                     .record(LinkEventKind::Stalled, format!("credit window full for {us} us"));
             }
         }
+        let mut taken = false;
         while self.fs.queued_len() < MAX_COALESCED_BYTES {
             if win.is_full() {
                 // Out of credit: stop consuming so the bridge (and the
@@ -838,28 +902,33 @@ impl SenderConn {
                     self.credit_blocked = true;
                     self.stall_started = Some(Instant::now());
                 }
-                return;
+                break;
             }
             match self.rx.try_recv() {
-                Ok(p) => {
-                    let eos = p.is_eos();
+                Ok(Queued { packet, .. }) => {
+                    taken = true;
                     let seq = win.next_seq();
                     let buf = self.fs.queue_buffer();
                     let start = buf.len();
-                    p.encode_into_with_seq(seq, buf);
+                    packet.encode_into_with_seq(seq, buf);
                     win.push(Bytes::from(buf[start..].to_vec()));
-                    if eos {
+                    if packet.is_eos() {
                         // An end-of-stream marker ends the batch so it
                         // (and everything before it) flushes at once.
-                        return;
+                        break;
                     }
                 }
-                Err(TryRecvError::Empty) => return,
+                Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
                     self.rx_down = true;
-                    return;
+                    break;
                 }
             }
+        }
+        drop(win);
+        if taken && self.wake.take_blocked() {
+            let (hub, key) = &self.producer;
+            hub.wake(*key);
         }
     }
 
@@ -876,11 +945,10 @@ impl SenderConn {
                     .record(LinkEventKind::Acked, format!("durable through seq {}", f.seq));
             }
             ACK_NAK => {
-                // The receiver is missing `seq + 1`: everything through
-                // `seq` is delivered, everything retained past it goes
-                // out again. A gap that starts below the retention
-                // floor is unanswerable — tell the receiver to skip it.
-                win.ack_delivered(f.seq);
+                // The receiver is missing `seq + 1`: everything retained
+                // past it goes out again. A gap that starts below the
+                // retention floor is unanswerable — tell the receiver to
+                // skip it.
                 let floor = win.floor();
                 if floor > f.seq {
                     encode_frame_into(&ack_frame(ACK_SKIP, floor), self.fs.queue_buffer());
@@ -1051,13 +1119,17 @@ impl Source for SenderConn {
         }
         if self.stop.load(Ordering::Relaxed) {
             // Best-effort final flush (end-of-stream markers), bounded.
+            // Packets left in a bridge out of credit wait for the acks
+            // of a receiver still consuming them (a clean finish stops
+            // the sending worker before its last packets are sent).
             let deadline = *self.stop_deadline.get_or_insert(now + Duration::from_secs(1));
-            if !self.backlog() || now >= deadline {
+            let stranded = self.credit_blocked && !self.rx.is_empty();
+            if (!self.backlog() && !stranded) || now >= deadline {
                 return self.finish(ConnFate::Stopped);
             }
             return Directive {
-                want_read: false,
-                want_write: true,
+                want_read: true,
+                want_write: self.backlog(),
                 deadline: Some(now + Duration::from_millis(20)),
                 close: false,
             };
@@ -1293,5 +1365,18 @@ impl Source for CtrlSource {
             deadline: self.stall_until,
             close: false,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_data_sockets_have_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let _client = TcpStream::connect(listener.local_addr().expect("address")).expect("dial");
+        let socket = accept_data(&listener).expect("accept");
+        assert!(socket.nodelay().expect("read TCP_NODELAY"), "acks must not wait for Nagle");
     }
 }

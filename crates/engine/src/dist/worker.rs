@@ -6,7 +6,8 @@
 //! plus the full placement table, rebuilds the topology from its local
 //! application repository, and runs its stages on the shared
 //! [`StageWorker`] event loop — local edges stay in-process channels,
-//! remote edges are bridged over TCP by dedicated sender/reader threads.
+//! remote edges are bridged over TCP by reactor-driven sources that the
+//! stage pool's own threads service between stage steps.
 //!
 //! During the run the worker heartbeats the coordinator, relays stage
 //! checkpoints, and acts on `Reassign` broadcasts: placement rows naming
@@ -34,7 +35,7 @@ use gates_core::{Packet, ShardMap, ShardRouter, StageId, Topology};
 use gates_grid::{AppConfig, ApplicationRepository};
 use gates_net::{
     connect_with_retry, connect_with_retry_jittered, crc32, derive, AckWindow, BufferPool,
-    FaultInjector, FlowControl, FrameStream, Reactor, ReactorPool, RetryPolicy,
+    FaultInjector, FlowControl, FrameStream, LinkSpec, Reactor, ReactorPool, RetryPolicy,
 };
 use gates_sim::{SimDuration, SimTime};
 
@@ -46,8 +47,8 @@ use super::{read_ctrl, DistConfig};
 use crate::executor::{CorePool, TaskHandle, WakeHub};
 use crate::options::RunOptions;
 use crate::runtime::{
-    CheckpointCfg, Control, CursorProbe, OutPort, RemoteWake, ShardCtl, ShardScaling, StageTask,
-    StageWorker,
+    CheckpointCfg, Control, CursorProbe, EdgeCredit, OutPort, Queued, RemoteWake, ShardCtl,
+    ShardScaling, StageTask, StageWorker,
 };
 use crate::EngineError;
 
@@ -138,11 +139,12 @@ impl DistWorker {
         }
     }
 
-    /// Builder: size of the reactor pool driving this worker's sockets
-    /// (data in-edges, per-edge senders, and the control link). One
-    /// reactor thread drives every connection of a typical worker; raise
-    /// it only when a single core cannot keep up with the socket fan-in.
-    /// `0` selects the default of one.
+    /// Builder: how many of the executor pool's threads also drive this
+    /// worker's sockets (data in-edges, per-edge senders, and the
+    /// control link), at most [`DistWorker::cores`]. One drives every
+    /// connection of a typical worker, on the same thread as the stages
+    /// it feeds; raise it only when a single core cannot keep up with
+    /// the socket fan-in. `0` selects the default of one.
     pub fn reactors(mut self, n: usize) -> Self {
         self.reactors = n.max(1);
         self
@@ -291,18 +293,17 @@ impl DistWorker {
         // Executor pool hosting every stage this worker runs, including
         // any it adopts through failover later. The pool size is
         // worker-local (not on the wire): heterogeneous deployments are
-        // expected. Dropping the pool joins its threads, so every early
-        // return below cleans up.
+        // expected. Dropping the pool joins its threads and drops every
+        // socket registered on them, so every early return below cleans
+        // up.
         let pool = CorePool::new(opts.effective_cores());
         let hub = pool.hub();
 
-        // Reactor pool driving every socket this worker owns. Sized
-        // independently of the stage pool: one reactor thread handles a
-        // typical worker's whole connection fan-in.
-        let reactors = Arc::new(
-            ReactorPool::new(&self.name, self.reactors)
-                .map_err(|e| EngineError::Transport(format!("spawn reactors: {e}")))?,
-        );
+        // Every socket this worker owns lives on the reactors of the
+        // first `reactors` pool threads: a stage, the sockets it feeds
+        // and the acks it returns share a thread.
+        let driving = self.reactors.min(pool.reactors().len());
+        let reactors = Arc::new(ReactorPool::new(pool.reactors()[..driving].to_vec()));
         // Recycled read buffers shared by every data in-edge; steady
         // state reads allocate nothing per packet.
         let buffers = BufferPool::default();
@@ -337,8 +338,8 @@ impl DistWorker {
         // coordinator answers with a `ShardUpdate` broadcast.
         let (shard_tx, shard_rx) = unbounded::<(u32, u32, bool)>();
 
-        let mut data_tx: HashMap<usize, Sender<Packet>> = HashMap::new();
-        let mut data_rx: HashMap<usize, Receiver<Packet>> = HashMap::new();
+        let mut data_tx: HashMap<usize, Sender<Queued>> = HashMap::new();
+        let mut data_rx: HashMap<usize, Receiver<Queued>> = HashMap::new();
         let mut ctl_tx: HashMap<usize, Sender<Control>> = HashMap::new();
         let mut ctl_rx: HashMap<usize, Receiver<Control>> = HashMap::new();
         let mut drops: HashMap<usize, Arc<AtomicU64>> = HashMap::new();
@@ -355,7 +356,7 @@ impl DistWorker {
             drops.insert(i, Arc::new(AtomicU64::new(0)));
         }
 
-        let mut remote_out: HashMap<usize, Sender<Packet>> = HashMap::new();
+        let mut remote_out: HashMap<usize, Sender<Queued>> = HashMap::new();
         let mut remote_wakes: HashMap<usize, Arc<RemoteWake>> = HashMap::new();
         let mut remote_exc: HashMap<usize, Sender<Control>> = HashMap::new();
         let mut in_edge_reg: HashMap<u32, Arc<InEdge>> = HashMap::new();
@@ -372,12 +373,9 @@ impl DistWorker {
             match (is_mine[from], is_mine[to]) {
                 (true, false) => {
                     // Outgoing remote edge: the stage writes into a
-                    // bounded bridge channel drained by a sender thread.
-                    // `LinkSpec::local()` advertises an effectively
-                    // unbounded buffer and crossbeam preallocates, so
-                    // cap the bridge.
-                    let cap = edge.link.buffer_packets.clamp(1, 1024);
-                    let (btx, brx) = bounded::<Packet>(cap);
+                    // bounded bridge channel drained by a reactor-driven
+                    // sender.
+                    let (btx, brx) = bounded::<Queued>(bridge_cap(&edge.link));
                     remote_out.insert(ei, btx);
                     let wake = RemoteWake::new();
                     remote_wakes.insert(ei, Arc::clone(&wake));
@@ -396,10 +394,8 @@ impl DistWorker {
                         reactor: reactors.pick(),
                         notify: notify.clone(),
                         wake,
-                        window: Arc::new(Mutex::new(AckWindow::new(
-                            cfg.ack_window,
-                            cfg.replay_retain,
-                        ))),
+                        producer: (Arc::clone(&hub), from as u32),
+                        window: edge_window(&edge.link, &cfg),
                         incarnation: 0,
                         stats: delivery.clone(),
                     };
@@ -413,12 +409,13 @@ impl DistWorker {
                 (false, true) => {
                     let (etx, erx) = unbounded::<Control>();
                     remote_exc.insert(ei, etx);
+                    let blocking = edge.link.flow == FlowControl::Blocking;
                     in_edge_reg.insert(
                         ei as u32,
                         Arc::new(InEdge {
                             data_tx: data_tx[&to].clone(),
                             shard: shard_guard(&topology, to, &data_tx),
-                            blocking: edge.link.flow == FlowControl::Blocking,
+                            blocking,
                             drops: Arc::clone(&drops[&to]),
                             exc_rx: erx,
                             eos_forwarded: AtomicBool::new(false),
@@ -430,6 +427,7 @@ impl DistWorker {
                             announce_resume: AtomicBool::new(false),
                             cursor: AtomicU64::new(0),
                             durable: AtomicU64::new(0),
+                            credit: Mutex::new(EdgeCredit::new(0, blocking)),
                             sender_incarnation: AtomicU64::new(u64::MAX),
                             adoption_epoch: 0,
                             stats: delivery.clone(),
@@ -605,7 +603,6 @@ impl DistWorker {
                 .filter(|&ei| !is_mine[topology.edges()[ei].from.index()])
                 .map(|ei| ei as u32)
                 .collect();
-            let probe_rx = data_rx[&i].clone();
             let worker = StageWorker {
                 name: stage.name.clone(),
                 placed_on: worker_of[i].clone(),
@@ -630,7 +627,7 @@ impl DistWorker {
                     stage: i as u32,
                     every: cfg.checkpoint_every,
                     tx: ckpt_tx.clone(),
-                    cursors: cursor_probe(remote_in, &in_edge_reg, probe_rx),
+                    cursors: cursor_probe(remote_in, &in_edge_reg),
                 }),
                 restore: None,
                 hub: Some(Arc::clone(&hub)),
@@ -892,6 +889,7 @@ impl DistWorker {
                                 let (etx, erx) = unbounded::<Control>();
                                 upstream_ctl.push(etx);
                                 let cur0 = restored_cursors.get(&(ei as u32)).copied().unwrap_or(0);
+                                let blocking = edge.link.flow == FlowControl::Blocking;
                                 in_edge_reg.write().unwrap_or_else(|p| p.into_inner()).insert(
                                     ei as u32,
                                     Arc::new(InEdge {
@@ -900,7 +898,7 @@ impl DistWorker {
                                         // pool-local siblings to re-route
                                         // to; its guard rejects instead.
                                         shard: shard_guard(&topology, i, &HashMap::new()),
-                                        blocking: edge.link.flow == FlowControl::Blocking,
+                                        blocking,
                                         drops: Arc::clone(&my_drops),
                                         exc_rx: erx,
                                         eos_forwarded: AtomicBool::new(false),
@@ -910,6 +908,7 @@ impl DistWorker {
                                         announce_resume: AtomicBool::new(true),
                                         cursor: AtomicU64::new(cur0),
                                         durable: AtomicU64::new(cur0),
+                                        credit: Mutex::new(EdgeCredit::new(cur0, blocking)),
                                         sender_incarnation: AtomicU64::new(u64::MAX),
                                         adoption_epoch: epoch,
                                         stats: delivery.clone(),
@@ -932,8 +931,7 @@ impl DistWorker {
                             for ei in topology.out_edges(id) {
                                 let edge = &topology.edges()[ei];
                                 let to = edge.to.index();
-                                let cap = edge.link.buffer_packets.clamp(1, 1024);
-                                let (btx, brx) = bounded::<Packet>(cap);
+                                let (btx, brx) = bounded::<Queued>(bridge_cap(&edge.link));
                                 let wake = RemoteWake::new();
                                 out.push(OutPort {
                                     tx: btx,
@@ -971,10 +969,8 @@ impl DistWorker {
                                     reactor: reactors.pick(),
                                     notify: notify.clone(),
                                     wake,
-                                    window: Arc::new(Mutex::new(AckWindow::new(
-                                        cfg.ack_window,
-                                        cfg.replay_retain,
-                                    ))),
+                                    producer: (Arc::clone(&hub), i as u32),
+                                    window: edge_window(&edge.link, &cfg),
                                     // A fresh sequence space: receivers
                                     // see the epoch in the hello and
                                     // restart their cursors.
@@ -1021,7 +1017,6 @@ impl DistWorker {
                                     },
                                 }));
                             }
-                            let probe_rx = drx.clone();
                             let worker = StageWorker {
                                 name: stage.name.clone(),
                                 placed_on: self.name.clone(),
@@ -1056,7 +1051,6 @@ impl DistWorker {
                                             .map(|ei| ei as u32)
                                             .collect(),
                                         &in_edge_reg,
-                                        probe_rx,
                                     ),
                                 }),
                                 restore: ckpt.map(|(_, state)| state.clone()),
@@ -1100,11 +1094,9 @@ impl DistWorker {
             let _ = h.join();
         }
         let _ = drain_handle.join();
-        // Release the watchdog (clean finish) or reap it (budget fired),
-        // then stop the executor pool — all stages have reported by now.
+        // Release the watchdog (clean finish) or reap it (budget fired).
         drop(wd_done_tx);
         let _ = watchdog_handle.join();
-        pool.shutdown();
         // The final report is the one control exchange chaos must not
         // touch: a dropped or mangled report would turn every chaos run
         // into a partial one. Injection ends here by design.
@@ -1134,8 +1126,10 @@ impl DistWorker {
                 coordinator_gone = true;
             }
         }
-        // Data-plane sources (listener, in-edges) close with the pool.
-        reactors.shutdown();
+        // The control link and the data-plane sources (listener,
+        // in-edges) live on the pool's threads: they close with it, now
+        // that the report is out. All stages have reported by now.
+        pool.shutdown();
         if coordinator_gone {
             return Err(EngineError::Transport("coordinator connection lost".into()));
         }
@@ -1198,7 +1192,7 @@ pub(super) struct InShard {
     /// Input queues of same-group replicas hosted in this process,
     /// keyed by ordinal — the local re-route targets for packets a
     /// stale-mapped sender aimed at the wrong shard.
-    pub(super) siblings: HashMap<u32, (Sender<Packet>, u32)>,
+    pub(super) siblings: HashMap<u32, (Sender<Queued>, u32)>,
 }
 
 /// Build the [`InShard`] guard for packets arriving at stage index
@@ -1208,7 +1202,7 @@ pub(super) struct InShard {
 fn shard_guard(
     topology: &Topology,
     stage: usize,
-    local_tx: &HashMap<usize, Sender<Packet>>,
+    local_tx: &HashMap<usize, Sender<Queued>>,
 ) -> Option<InShard> {
     let (gi, ordinal) = topology.replica_of(StageId::from_index(stage))?;
     let group = &topology.groups()[gi];
@@ -1240,18 +1234,11 @@ fn shard_ctl(
 }
 
 /// Build the per-stage checkpoint cursor sampler: for each remote
-/// in-edge, the highest input sequence the stage has *consumed* — the
-/// receiver cursor minus whatever is still parked in the stage's input
-/// queue. The two reads are not atomic with respect to each other, and
-/// the cursor is read first so a race can only *under*-report: the
-/// sender then replays a little deeper and the receiver dedup absorbs
-/// the overlap. Stages with no remote inputs get `None` (their
-/// checkpoints carry no cursors).
-fn cursor_probe(
-    remote_in: Vec<u32>,
-    reg: &InEdgeRegistry,
-    rx: Receiver<Packet>,
-) -> Option<CursorProbe> {
+/// in-edge, the highest input sequence the stage has *consumed* (taken
+/// off its queue, so processed by the time the sampler runs between
+/// packets). Stages with no remote inputs get `None` (their checkpoints
+/// carry no cursors).
+fn cursor_probe(remote_in: Vec<u32>, reg: &InEdgeRegistry) -> Option<CursorProbe> {
     if remote_in.is_empty() {
         return None;
     }
@@ -1261,19 +1248,37 @@ fn cursor_probe(
         remote_in
             .iter()
             .filter_map(|ei| {
-                let ie = edges.get(ei)?;
-                let cur = ie.cursor.load(Ordering::Acquire);
-                Some((*ei, cur.saturating_sub(rx.len() as u64)))
+                let credit = edges.get(ei)?.credit.lock().unwrap_or_else(|p| p.into_inner());
+                Some((*ei, credit.consumed()))
             })
             .collect()
     }))
+}
+
+/// Capacity of a remote out-edge's bridge channel: the link's buffer.
+/// `LinkSpec::local()` advertises an effectively unbounded buffer and
+/// crossbeam preallocates, so it is capped.
+fn bridge_cap(link: &LinkSpec) -> usize {
+    link.buffer_packets.clamp(1, 1024)
+}
+
+/// The acked replay window of a remote out-edge. A blocking edge's
+/// credit is its bridge capacity, capped by `ack_window`, so no more
+/// packets wait at the receiver than the link buffers; a lossy edge
+/// keeps the whole `ack_window`.
+fn edge_window(link: &LinkSpec, cfg: &DistConfig) -> Arc<Mutex<AckWindow>> {
+    let credit = match link.flow {
+        FlowControl::Blocking => bridge_cap(link).min(cfg.ack_window),
+        FlowControl::Lossy => cfg.ack_window,
+    };
+    Arc::new(Mutex::new(AckWindow::new(credit, cfg.replay_retain)))
 }
 
 /// Receiver-side state of one remote in-edge, shared between the
 /// reactor sources pumping its connections and the drain monitor.
 pub(super) struct InEdge {
     /// Input queue of the receiving stage.
-    pub(super) data_tx: Sender<Packet>,
+    pub(super) data_tx: Sender<Queued>,
     /// Ownership guard when the receiving stage is a replica.
     pub(super) shard: Option<InShard>,
     pub(super) blocking: bool,
@@ -1307,6 +1312,9 @@ pub(super) struct InEdge {
     /// Highest sequence covered by a relayed checkpoint, acked back as
     /// durable so the sender can trim replay retention.
     pub(super) durable: AtomicU64,
+    /// Consume side of the current sender incarnation's sequence space;
+    /// replaced together with the cursor reset.
+    pub(super) credit: Mutex<Arc<EdgeCredit>>,
     /// Incarnation of the sender currently attached (`u64::MAX` until
     /// the first hello). A changed incarnation means a fresh sequence
     /// space: cursor and durable reset to zero.
@@ -1347,7 +1355,7 @@ struct RemoteSender {
     to_stage: usize,
     /// Live endpoint table, rewritten by `Reassign` messages.
     placements: Arc<SharedPlacements>,
-    rx: Receiver<Packet>,
+    rx: Receiver<Queued>,
     upstream: Sender<Control>,
     /// Drop counter of the *sending* stage (drops while the link is dead).
     drops: Arc<AtomicU64>,
@@ -1367,6 +1375,8 @@ struct RemoteSender {
     notify: NotifyList,
     /// Emit-path wake handle shared with the sending stage's `OutPort`.
     wake: Arc<RemoteWake>,
+    /// Wake hub and key of the sending stage.
+    producer: (Arc<WakeHub>, u32),
     /// Acked replay window: frames stay here until the receiver's
     /// cumulative delivered ack confirms them, and every reconnect
     /// replays from it before sending anything new.
@@ -1450,6 +1460,13 @@ impl RemoteSender {
             }
         }
         Some(fs)
+    }
+
+    /// Whether a dead link may stash another packet: up to `ack_window`
+    /// in flight, whatever the edge's credit, so an outage absorbs as
+    /// much as the replay window is sized for.
+    fn has_stash_room(&self) -> bool {
+        self.window.lock().unwrap_or_else(|p| p.into_inner()).in_flight() < self.cfg.ack_window
     }
 
     /// Stamp and retain one packet in the replay window while the link
@@ -1563,6 +1580,7 @@ impl RemoteSender {
                     self.reporter.clone(),
                     fate_tx.clone(),
                     Arc::clone(&self.wake),
+                    self.producer.clone(),
                     Arc::clone(&self.window),
                     self.stats.clone(),
                 );
@@ -1652,9 +1670,8 @@ impl RemoteSender {
                 // drain the bridge so the stage behind it is not wedged
                 // forever, and count the stream's loss honestly.
                 match self.rx.recv_timeout(Duration::from_millis(20)) {
-                    Ok(packet) => {
-                        let full = self.window.lock().unwrap_or_else(|p| p.into_inner()).is_full();
-                        if !full {
+                    Ok(Queued { packet, .. }) => {
+                        if self.has_stash_room() {
                             self.stash(packet);
                         } else if !packet.is_eos() {
                             self.drops.fetch_add(1, Ordering::Relaxed);
@@ -1667,14 +1684,13 @@ impl RemoteSender {
             } else {
                 // A reconnect (or failover re-dial) is still plausible:
                 // stash what the replay window can hold. A full window
-                // parks the bridge — that *is* the credit backpressure,
-                // pushing back on the sending stage.
+                // parks the bridge, pushing back on the sending stage.
                 loop {
-                    if self.window.lock().unwrap_or_else(|p| p.into_inner()).is_full() {
+                    if !self.has_stash_room() {
                         break;
                     }
                     match self.rx.try_recv() {
-                        Ok(packet) => self.stash(packet),
+                        Ok(Queued { packet, .. }) => self.stash(packet),
                         Err(TryRecvError::Empty) => break,
                         Err(TryRecvError::Disconnected) => {
                             rx_open = false;
@@ -1732,12 +1748,12 @@ impl RemoteSender {
 /// Blocking push into the stage queue that keeps watching the stop flag
 /// (mirror of the stage-side `send_with_stop_check`).
 fn push_with_stop(ie: &InEdge, packet: Packet, stop: &AtomicBool) {
-    push_to(&ie.data_tx, &ie.hub, ie.wake_key, packet, stop);
+    push_to(&ie.data_tx, &ie.hub, ie.wake_key, packet.into(), stop);
 }
 
 /// Blocking push into an arbitrary local stage queue (the in-edge's own
 /// receiver, or a sibling replica on a shard re-route).
-fn push_to(tx: &Sender<Packet>, hub: &WakeHub, wake_key: u32, packet: Packet, stop: &AtomicBool) {
+fn push_to(tx: &Sender<Queued>, hub: &WakeHub, wake_key: u32, packet: Queued, stop: &AtomicBool) {
     let mut packet = packet;
     loop {
         if stop.load(Ordering::Relaxed) {

@@ -9,15 +9,16 @@
 //! * each pool worker (`gates-exec-N`) owns a FIFO run queue plus a LIFO
 //!   wake slot; idle workers steal from the back of their peers' queues;
 //! * a shared [`timer::TimerWheel`] (1 ms granularity, `gates-timer`
-//!   driver thread) turns every former blocking wait longer than one
-//!   granularity — source `next_poll`, token-bucket pacing, empty-queue
-//!   receive — into a timed re-enqueue, so a parked stage costs no core
-//!   at all. A task keeps at most one armed wheel entry (see the timer
-//!   module), so re-parking on every empty poll costs no driver wake;
-//! * a wait of one granularity or less — the 1 ms blocking-send retry,
-//!   fast token buckets — is slept inline on the pool worker. A wake
-//!   cannot cut such a sleep short; it only makes the task run again
-//!   right after it;
+//!   driver thread) turns every wait for a peer ([`Step::Wait`]: an
+//!   empty input queue, a full output queue) and every park longer than
+//!   one granularity (source `next_poll`, token-bucket pacing) into a
+//!   timed re-enqueue, so a waiting stage costs no core at all and the
+//!   peer's wake ends the wait. A task keeps at most one armed wheel
+//!   entry (see the timer module), so re-waiting on every empty poll
+//!   costs no driver wake;
+//! * a park of one granularity or less — fast token buckets, tight poll
+//!   loops — is slept inline on the pool worker. A wake cannot cut such
+//!   a sleep short; it only makes the task run again right after it;
 //! * modeled *service time* deliberately still occupies a pool worker
 //!   (an inline stop-aware sleep per tick slice): `--cores N` means "N
 //!   modeled cores", and stages contend for them exactly as the paper's
@@ -29,16 +30,23 @@
 //! index: a producer wakes its consumer right after a successful send,
 //! and a consumer wakes blocked producers after draining its queue.
 //!
-//! **Bounded cooperative yield.** A pool worker in a closed loop (a
-//! source and its co-located consumer handing packets back and forth)
-//! never blocks, so a reactor thread it wakes on the same core waits
-//! for the kernel to preempt the worker — on a small VM, a slice of
-//! about 1.5 ms. So a worker that has run for one timer granularity
-//! without blocking, and has since woken a reactor
-//! ([`note_reactor_notify`]), calls `std::thread::yield_now()` once and
-//! starts counting again. Blocking — an idle wait for work or an inline
-//! sleep — resets both conditions, so a worker that waits anyway never
-//! yields, and none yields more than once per granularity.
+//! **One event loop per worker.** Every pool worker owns a
+//! [`gates_net::Driver`] and idles in its `epoll_wait` rather than on a
+//! condvar, so the distributed runtime registers its sockets on the pool
+//! workers themselves (see [`CorePool::reactors`]) and a stage, the
+//! sockets it feeds and the acks it returns share one thread. A task
+//! pushed from another thread writes the sleeping worker's eventfd; a
+//! notify a step makes to its own worker's reactor only sets a flag, and
+//! the worker services it right after the step. A busy worker also
+//! polls readiness (`epoll_wait(0)`) once per timer granularity at
+//! most, and an inline sleep services ready sockets before and after.
+//!
+//! **Yield after a flush.** A worker in a closed loop never blocks, so
+//! the process its flushed bytes wake may wait for the kernel to preempt
+//! the worker — on a small VM, a slice of about 1.5 ms. So a step that
+//! did not wait and that pinged a remote sender ([`note_sender_ping`])
+//! is followed, once its reactor has flushed, by one
+//! `std::thread::yield_now()`.
 
 mod queue;
 mod task;
@@ -50,7 +58,9 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+use gates_net::{Driver, Reactor};
 
 use task::Task;
 use timer::GRANULARITY;
@@ -60,15 +70,15 @@ use timer::GRANULARITY;
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
-    /// This thread woke a reactor since it last blocked or yielded.
-    static WOKE_REACTOR: Cell<bool> = const { Cell::new(false) };
+    /// The running step pinged a remote sender.
+    static PINGED_SENDER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Record that the calling thread just signalled a reactor thread. On a
-/// pool worker this arms the bounded cooperative yield (module docs);
-/// on any other thread the flag is never read.
-pub(crate) fn note_reactor_notify() {
-    WOKE_REACTOR.with(|w| w.set(true));
+/// Record that the calling thread just pinged a remote sender. On a pool
+/// worker this arms the yield after the step (module docs); on any other
+/// thread the flag is never read.
+pub(crate) fn note_sender_ping() {
+    PINGED_SENDER.with(|w| w.set(true));
 }
 
 /// State shared by the pool handle, its workers, the timer driver, and
@@ -79,7 +89,7 @@ pub(crate) struct Shared {
     hub: Arc<WakeHub>,
     shutdown: AtomicBool,
     activations: AtomicU64,
-    /// Bounded cooperative yields taken by the workers.
+    /// Yields taken after a flush (module docs).
     yields: AtomicU64,
 }
 
@@ -100,30 +110,36 @@ impl Shared {
 /// detached: after `shutdown` returns, no executor thread survives.
 pub(crate) struct CorePool {
     shared: Arc<Shared>,
+    reactors: Vec<Reactor>,
     workers: Vec<JoinHandle<()>>,
     timer_driver: Option<JoinHandle<()>>,
 }
 
 impl CorePool {
-    /// Spin up `cores` worker threads (clamped to at least 1) plus the
-    /// timer driver.
+    /// Spin up `cores` worker threads (clamped to at least 1), each
+    /// driving a reactor of its own, plus the timer driver.
     pub(crate) fn new(cores: usize) -> Self {
         let cores = cores.max(1);
         let pool_id = NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed);
+        let (reactors, drivers): (Vec<Reactor>, Vec<Driver>) = (0..cores)
+            .map(|_| Reactor::with_driver().expect("create a pool worker's reactor"))
+            .unzip();
         let shared = Arc::new(Shared {
-            queues: queue::Queues::new(pool_id, cores),
+            queues: queue::Queues::new(pool_id, &reactors),
             timers: timer::TimerWheel::new(),
             hub: Arc::new(WakeHub::new()),
             shutdown: AtomicBool::new(false),
             activations: AtomicU64::new(0),
             yields: AtomicU64::new(0),
         });
-        let workers = (0..cores)
-            .map(|idx| {
+        let workers = drivers
+            .into_iter()
+            .enumerate()
+            .map(|(idx, driver)| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("gates-exec-{idx}"))
-                    .spawn(move || worker_loop(&shared, idx))
+                    .spawn(move || worker_loop(&shared, idx, driver))
                     .expect("spawn executor worker")
             })
             .collect();
@@ -132,7 +148,14 @@ impl CorePool {
             .name("gates-timer".into())
             .spawn(move || timer_shared.timers.drive())
             .expect("spawn timer driver");
-        CorePool { shared, workers, timer_driver: Some(timer_driver) }
+        CorePool { shared, reactors, workers, timer_driver: Some(timer_driver) }
+    }
+
+    /// The reactor each worker drives, in worker order. Sources
+    /// registered here are serviced on that worker between steps, and
+    /// are dropped when the pool shuts down.
+    pub(crate) fn reactors(&self) -> &[Reactor] {
+        &self.reactors
     }
 
     /// The wake hub stages use to nudge their channel peers.
@@ -155,7 +178,8 @@ impl CorePool {
         handle
     }
 
-    /// Stop and join every pool thread (workers and timer driver).
+    /// Stop and join every pool thread (workers and timer driver),
+    /// dropping every source registered on the workers' reactors.
     /// Callers are expected to have joined all [`TaskHandle`]s first —
     /// shutdown does not wait for unfinished activations. Dropping the
     /// pool does the same, so early error returns cannot leak threads.
@@ -179,30 +203,41 @@ impl Drop for CorePool {
 }
 
 /// One pool worker: pop (LIFO slot → local FIFO → injector → steal),
-/// run one activation step, requeue or park per its verdict, and take
-/// the bounded cooperative yield when it is due (module docs).
-fn worker_loop(shared: &Arc<Shared>, idx: usize) {
+/// run one activation step, requeue or park per its verdict, service
+/// the reactor, and yield after a flush when due (module docs); with
+/// nothing to run, sleep in the reactor.
+fn worker_loop(shared: &Arc<Shared>, idx: usize, mut driver: Driver) {
     queue::set_current_worker(shared.queues.pool_id(), idx);
+    driver.attach();
     let mut tick: u64 = 0;
-    // Start of the current stretch without blocking or yielding.
-    let mut busy_since = Instant::now();
+    // Last readiness poll, by a turn of any kind.
+    let mut polled = Instant::now();
     while !shared.shutdown.load(Ordering::Acquire) {
         tick = tick.wrapping_add(1);
-        let waited = match shared.queues.pop(idx, tick) {
-            Some(task) => run_one(shared, idx, task),
-            None => {
-                shared.queues.idle_wait();
-                true
-            }
+        let task = match shared.queues.pop(idx, tick) {
+            Some(task) => task,
+            None => match shared.queues.idle(idx, tick, &mut driver) {
+                Some(task) => task,
+                None => {
+                    polled = Instant::now();
+                    continue;
+                }
+            },
         };
-        if waited {
-            busy_since = Instant::now();
-            WOKE_REACTOR.with(|w| w.set(false));
-        } else if WOKE_REACTOR.with(Cell::get) && busy_since.elapsed() >= GRANULARITY {
+        PINGED_SENDER.with(|w| w.set(false));
+        let waited = run_one(shared, idx, task, &mut driver);
+        // Flush what the step queued on this worker's own sockets.
+        driver.service_pending();
+        if PINGED_SENDER.with(Cell::get) && !waited {
             std::thread::yield_now();
             shared.yields.fetch_add(1, Ordering::Relaxed);
-            busy_since = Instant::now();
-            WOKE_REACTOR.with(|w| w.set(false));
+        }
+        let now = Instant::now();
+        if waited {
+            polled = now;
+        } else if now.duration_since(polled) >= GRANULARITY {
+            driver.turn(Some(Duration::ZERO));
+            polled = now;
         }
     }
 }
@@ -210,8 +245,9 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize) {
 /// Run one activation step and act on its verdict. Returns whether the
 /// worker waited: parks at or below the timer granularity are realized
 /// as a sleep on the current worker, keeping sub-millisecond pacing
-/// (fast token buckets, tight poll loops) at full precision.
-fn run_one(shared: &Arc<Shared>, idx: usize, task: Arc<Task>) -> bool {
+/// (fast token buckets, tight poll loops) at full precision, with the
+/// worker's ready sockets serviced before and after it.
+fn run_one(shared: &Arc<Shared>, idx: usize, task: Arc<Task>, driver: &mut Driver) -> bool {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     task.begin_running();
@@ -241,31 +277,32 @@ fn run_one(shared: &Arc<Shared>, idx: usize, task: Arc<Task>) -> bool {
             task.requeue_local(shared, idx);
             false
         }
-        Step::Park { until } => {
+        Step::Park { until } if until.saturating_duration_since(Instant::now()) <= GRANULARITY => {
+            // Sub-granularity wait: sleep it here (state stays RUNNING,
+            // so a concurrent wake coalesces to NOTIFIED and the requeue
+            // below covers it). A wait that is already over still counts
+            // as one: the step asked to wait, so the yield rule has
+            // nothing to add.
+            driver.turn(Some(Duration::ZERO));
             let now = Instant::now();
-            if until.saturating_duration_since(now) <= GRANULARITY {
-                // Sub-granularity wait: sleep it here (state stays
-                // RUNNING, so a concurrent wake coalesces to NOTIFIED
-                // and the requeue below covers it). A wait that is
-                // already over still ends the busy stretch: the step
-                // asked to wait, so the yield rule has nothing to add.
-                if until > now {
-                    std::thread::sleep(until - now);
-                }
-                task.requeue_local(shared, idx);
-                true
-            } else {
-                // Register the timer *before* releasing RUNNING so a
-                // lost wake is impossible: either the CAS to IDLE wins
-                // (the timer or an external wake will requeue us) or a
-                // wake raced in and we requeue immediately (the armed
-                // entry then fires early, and the step re-checks).
-                shared.timers.register(until, &task);
-                if !task.try_park() {
-                    task.requeue_local(shared, idx);
-                }
-                false
+            if until > now {
+                std::thread::sleep(until - now);
+                driver.turn(Some(Duration::ZERO));
             }
+            task.requeue_local(shared, idx);
+            true
+        }
+        Step::Park { until } | Step::Wait { until } => {
+            // Register the timer *before* releasing RUNNING so a lost
+            // wake is impossible: either the CAS to IDLE wins (the timer
+            // or an external wake will requeue us) or a wake raced in
+            // and we requeue immediately (the armed entry then fires
+            // early, and the step re-checks).
+            shared.timers.register(until, &task);
+            if !task.try_park() {
+                task.requeue_local(shared, idx);
+            }
+            false
         }
         Step::Done => unreachable!("handled above"),
     }
@@ -275,6 +312,10 @@ fn run_one(shared: &Arc<Shared>, idx: usize, task: Arc<Task>) -> bool {
 mod tests {
     use super::*;
     use gates_core::report::StageReport;
+    use gates_net::{Directive, Ready, Source, Token};
+    use std::os::unix::io::{AsRawFd, RawFd};
+    use std::os::unix::net::UnixStream;
+    use std::sync::Mutex;
     use std::time::{Duration, Instant};
 
     /// Counts steps, parks between them, finishes after `steps`.
@@ -362,53 +403,39 @@ mod tests {
     }
 
     #[test]
-    fn busy_worker_that_woke_a_reactor_yields_at_most_once_per_granularity() {
-        /// Never blocks and signals a reactor on every step; done once
-        /// five granularities have passed since its first step.
+    fn a_pinging_step_that_did_not_wait_yields_once() {
+        /// Never waits; pings a remote sender on every other step.
         struct Spinner {
-            started: Option<Instant>,
-            steps: Arc<AtomicU64>,
+            steps: u32,
         }
         impl Activation for Spinner {
             fn step(&mut self) -> Step {
-                self.steps.fetch_add(1, Ordering::Relaxed);
-                note_reactor_notify();
-                let started = *self.started.get_or_insert_with(Instant::now);
-                if started.elapsed() >= 5 * GRANULARITY {
-                    Step::Done
-                } else {
-                    Step::Yield
+                if self.steps == 0 {
+                    return Step::Done;
                 }
+                self.steps -= 1;
+                if self.steps.is_multiple_of(2) {
+                    note_sender_ping();
+                }
+                Step::Yield
             }
             fn finish(self: Box<Self>) -> StageReport {
                 StageReport::default()
             }
         }
-        let t0 = Instant::now();
         let pool = CorePool::new(1);
         let shared = Arc::clone(&pool.shared);
-        let steps = Arc::new(AtomicU64::new(0));
-        let h = pool.spawn(Box::new(Spinner { started: None, steps: Arc::clone(&steps) }), 0);
-        h.join().expect("no panic");
-        // Joined workers have taken every yield they ever will, all of
-        // them inside `elapsed`.
+        pool.spawn(Box::new(Spinner { steps: 200 }), 0).join().expect("no panic");
+        // Joined workers have taken every yield they ever will.
         pool.shutdown();
-        let elapsed = t0.elapsed();
-        let yields = shared.yields.load(Ordering::Relaxed);
-        assert!(yields >= 1, "a busy stretch past one granularity after a wake yields");
-        assert!(
-            u128::from(yields) <= elapsed.as_nanos() / GRANULARITY.as_nanos(),
-            "{yields} yields in {elapsed:?}: at most one per granularity"
-        );
-        assert!(steps.load(Ordering::Relaxed) > yields, "a wake on every step, far fewer yields");
+        assert_eq!(shared.yields.load(Ordering::Relaxed), 100, "one yield per pinging step");
     }
 
     #[test]
     fn worker_that_waits_between_reactor_wakes_never_yields() {
-        /// Forty rounds of: signal a reactor and wait inline (a quarter
-        /// granularity), then a step that neither waits nor signals —
-        /// where a yield would be taken if the wait had not reset the
-        /// rule. Ten granularities in all.
+        /// Forty rounds of: ping a remote sender and wait inline (a
+        /// quarter granularity), then a step that neither waits nor
+        /// pings.
         struct Napper {
             left: u32,
             napped: bool,
@@ -423,7 +450,7 @@ mod tests {
                 }
                 self.left -= 1;
                 self.napped = true;
-                note_reactor_notify();
+                note_sender_ping();
                 Step::Park { until: Instant::now() + GRANULARITY / 4 }
             }
             fn finish(self: Box<Self>) -> StageReport {
@@ -437,5 +464,86 @@ mod tests {
         pool.shutdown();
         assert_eq!(shared.yields.load(Ordering::Relaxed), 0);
         assert!(shared.activations.load(Ordering::Relaxed) > 80);
+    }
+
+    /// Reports every service; wants nothing but (never-arriving) reads.
+    struct Counting {
+        sock: UnixStream,
+        serviced: Arc<AtomicU64>,
+    }
+    impl Source for Counting {
+        fn fd(&self) -> RawFd {
+            self.sock.as_raw_fd()
+        }
+        fn service(&mut self, _ready: Ready, _now: Instant) -> Directive {
+            self.serviced.fetch_add(1, Ordering::SeqCst);
+            Directive::read()
+        }
+    }
+
+    #[test]
+    fn idle_worker_is_woken_from_its_reactor_by_a_foreign_push() {
+        let pool = CorePool::new(1);
+        let shared = Arc::clone(&pool.shared);
+        while !shared.queues.is_sleeping(0) {
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        let before = pool.reactors()[0].wakeups();
+        let t0 = Instant::now();
+        let ran = Arc::new(AtomicU64::new(0));
+        let ticker = Ticker { steps: 0, park: Duration::ZERO, ran: Arc::clone(&ran) };
+        pool.spawn(Box::new(ticker), 0).join().expect("no panic");
+        let took = t0.elapsed();
+        assert_eq!(ran.load(Ordering::Relaxed), 1);
+        assert_eq!(pool.reactors()[0].wakeups(), before + 1, "the push wrote the eventfd");
+        assert!(took < queue::IDLE_CAP, "woken by the push, not the idle cap: {took:?}");
+        pool.shutdown();
+    }
+
+    #[test]
+    fn own_notify_skips_the_eventfd_and_is_serviced_before_the_next_step() {
+        /// Step 1 notifies a source on its worker's reactor; step 2
+        /// records what happened in between.
+        struct Notifier {
+            reactor: Reactor,
+            token: Token,
+            serviced: Arc<AtomicU64>,
+            before: Option<(u64, u64)>,
+            seen: Arc<Mutex<Option<(u64, u64)>>>,
+        }
+        impl Activation for Notifier {
+            fn step(&mut self) -> Step {
+                let now = (self.serviced.load(Ordering::SeqCst), self.reactor.wakeups());
+                match self.before {
+                    None => {
+                        self.before = Some(now);
+                        self.reactor.notify(self.token);
+                        Step::Yield
+                    }
+                    Some((serviced, wakeups)) => {
+                        *self.seen.lock().unwrap() = Some((now.0 - serviced, now.1 - wakeups));
+                        Step::Done
+                    }
+                }
+            }
+            fn finish(self: Box<Self>) -> StageReport {
+                StageReport::default()
+            }
+        }
+        let pool = CorePool::new(1);
+        let reactor = pool.reactors()[0].clone();
+        let (sock, _peer) = UnixStream::pair().expect("socket pair");
+        let serviced = Arc::new(AtomicU64::new(0));
+        let token = reactor.register(Box::new(Counting { sock, serviced: Arc::clone(&serviced) }));
+        while serviced.load(Ordering::SeqCst) == 0 {
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        let seen = Arc::new(Mutex::new(None));
+        let notifier = Notifier { reactor, token, serviced, before: None, seen: Arc::clone(&seen) };
+        pool.spawn(Box::new(notifier), 0).join().expect("no panic");
+        pool.shutdown();
+        let (services, wakeups) = seen.lock().unwrap().expect("second step ran");
+        assert_eq!(services, 1, "the notify is serviced between the two steps");
+        assert_eq!(wakeups, 0, "and made no eventfd write");
     }
 }

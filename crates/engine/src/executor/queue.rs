@@ -6,14 +6,29 @@
 //! task runs next on the core that woke it, keeping producer→consumer
 //! handoffs hot in cache). Idle workers steal single tasks from the
 //! *back* of a victim's FIFO queue — never from the LIFO slot.
+//!
+//! An idle worker sleeps in its own reactor's `epoll_wait`, so socket
+//! readiness wakes it as well as work. It raises its `sleeping` flag,
+//! then looks at every queue once more before it waits; a push raises
+//! nothing itself but, after queueing, clears one sleeper's flag and
+//! writes that worker's eventfd. Both flags are `SeqCst` and every queue
+//! is behind a mutex, so either the sleeper's last look finds the task
+//! or the pusher finds the flag: no wake-up is lost.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
+use gates_net::{Driver, Reactor};
+
 use super::task::Task;
+
+/// Longest an idle worker stays in `epoll_wait` without an event: a
+/// safety bound only, since every push and every timer fire wakes a
+/// sleeper explicitly.
+pub(super) const IDLE_CAP: Duration = Duration::from_millis(50);
 
 thread_local! {
     /// `(pool_id, worker_idx)` of the pool worker running on this
@@ -30,6 +45,10 @@ struct Local {
     lifo: Mutex<Option<Arc<Task>>>,
     /// The run queue proper.
     fifo: Mutex<VecDeque<Arc<Task>>>,
+    /// The worker is (about to be) waiting in its reactor.
+    sleeping: AtomicBool,
+    /// The reactor the worker drives; its eventfd wakes the worker.
+    reactor: Reactor,
 }
 
 pub(crate) struct Queues {
@@ -38,26 +57,22 @@ pub(crate) struct Queues {
     /// Landing zone for tasks enqueued by non-pool threads (spawns, the
     /// timer driver, socket bridges).
     injector: Mutex<VecDeque<Arc<Task>>>,
-    /// Signaled when work arrives while workers sleep. Paired with the
-    /// injector mutex; sleeps are time-bounded so a missed signal costs
-    /// at most one bounded nap, never a hang.
-    available: Condvar,
-    sleepers: AtomicUsize,
 }
 
 impl Queues {
-    pub(super) fn new(pool_id: u64, cores: usize) -> Self {
-        let locals = (0..cores)
-            .map(|_| Local { lifo: Mutex::new(None), fifo: Mutex::new(VecDeque::new()) })
+    /// One local queue per reactor, i.e. per worker.
+    pub(super) fn new(pool_id: u64, reactors: &[Reactor]) -> Self {
+        let locals = reactors
+            .iter()
+            .map(|reactor| Local {
+                lifo: Mutex::new(None),
+                fifo: Mutex::new(VecDeque::new()),
+                sleeping: AtomicBool::new(false),
+                reactor: reactor.clone(),
+            })
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        Queues {
-            pool_id,
-            locals,
-            injector: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
-        }
+        Queues { pool_id, locals, injector: Mutex::new(VecDeque::new()) }
     }
 
     pub(super) fn pool_id(&self) -> u64 {
@@ -126,27 +141,45 @@ impl Queues {
         None
     }
 
+    /// Wake one sleeping worker other than the caller, if any.
     fn maybe_notify(&self) {
-        if self.sleepers.load(Ordering::Relaxed) > 0 {
-            self.available.notify_one();
+        let (pool, me) = CURRENT_WORKER.with(|c| c.get());
+        for (idx, local) in self.locals.iter().enumerate() {
+            if pool == self.pool_id && idx == me {
+                continue;
+            }
+            if local.sleeping.load(Ordering::SeqCst) && local.sleeping.swap(false, Ordering::SeqCst)
+            {
+                local.reactor.wake();
+                return;
+            }
         }
     }
 
-    /// Wake every sleeping worker (shutdown).
+    /// Wake every worker (shutdown).
     pub(super) fn notify_all(&self) {
-        self.available.notify_all();
+        for local in self.locals.iter() {
+            local.reactor.wake();
+        }
     }
 
-    /// Nap until work is signaled or a short timeout passes. The bound
-    /// keeps the pool live across the benign race where a producer
-    /// pushes between our last `pop` and this wait.
-    pub(super) fn idle_wait(&self) {
-        let guard = Self::lock(&self.injector);
-        if !guard.is_empty() {
-            return;
+    /// Sleep in the worker's reactor until work, I/O or a reactor
+    /// deadline arrives (module docs). Returns a task found by the last
+    /// look before sleeping.
+    pub(super) fn idle(&self, worker: usize, tick: u64, driver: &mut Driver) -> Option<Arc<Task>> {
+        let sleeping = &self.locals[worker].sleeping;
+        sleeping.store(true, Ordering::SeqCst);
+        let found = self.pop(worker, tick);
+        if found.is_none() {
+            driver.turn(Some(IDLE_CAP));
         }
-        self.sleepers.fetch_add(1, Ordering::Relaxed);
-        let _ = self.available.wait_timeout(guard, Duration::from_millis(1));
-        self.sleepers.fetch_sub(1, Ordering::Relaxed);
+        sleeping.store(false, Ordering::SeqCst);
+        found
+    }
+
+    /// Whether `worker` is waiting in its reactor (test probe).
+    #[cfg(test)]
+    pub(super) fn is_sleeping(&self, worker: usize) -> bool {
+        self.locals[worker].sleeping.load(Ordering::SeqCst)
     }
 }

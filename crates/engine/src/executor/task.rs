@@ -20,9 +20,18 @@ pub(crate) enum Step {
     /// external wake (new input, freed queue slot) requeues the task
     /// earlier. The task keeps at most one armed wheel entry, so it may
     /// also run *before* `until` (an entry armed by an earlier park
-    /// fires first): every park site re-checks its own condition.
+    /// fires first): every park site re-checks its own condition. A
+    /// park of one timer granularity or less is slept inline instead.
     Park {
         /// Earliest instant the task wants to run again.
+        until: Instant,
+    },
+    /// Nothing to do until another task or a socket wakes this one: an
+    /// input arrived, or a full queue has room. `until` only bounds the
+    /// wait; unlike a short [`Step::Park`] it is never slept inline, so
+    /// the wake always ends it.
+    Wait {
+        /// Latest instant the task wants to run again.
         until: Instant,
     },
     /// The stage is finished; `finish` produces its report.
@@ -32,8 +41,8 @@ pub(crate) enum Step {
 /// A run-to-yield stage activation hosted on a [`super::CorePool`].
 ///
 /// `step` must return in bounded time (at most one tick of inline
-/// sleeping) — every former blocking point becomes a [`Step::Park`] or
-/// [`Step::Yield`] so the pool can multiplex many stages per core and
+/// sleeping) — every former blocking point becomes a [`Step::Park`],
+/// [`Step::Wait`] or [`Step::Yield`] so the pool can multiplex many stages per core and
 /// an engine stop is observed within one tick.
 pub(crate) trait Activation: Send {
     /// Run one bounded slice of work.

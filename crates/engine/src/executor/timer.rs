@@ -1,14 +1,15 @@
 //! The shared timer wheel.
 //!
 //! One hashed wheel (1 ms granularity, 256 slots) serves every parked
-//! task in the pool: source `next_poll` delays, token-bucket pacing,
-//! blocking-send retries, and empty-queue naps longer than one tick
-//! become entries here instead of per-thread `thread::sleep`s. A single
-//! driver thread (`gates-timer`) sleeps on a condvar until the nearest
-//! deadline, then wakes every due task.
+//! task in the pool: source `next_poll` delays and token-bucket pacing
+//! longer than one tick, and the one-tick backstop of every stage
+//! waiting for a peer (an empty or a full queue) become entries here
+//! instead of per-thread `thread::sleep`s. A single driver thread
+//! (`gates-timer`) sleeps on a condvar until the nearest deadline, then
+//! wakes every due task.
 //!
 //! Entries fire at the first wheel tick at or after their deadline —
-//! never early — and the pool realizes sub-granularity waits inline, so
+//! never early — and the pool realizes sub-granularity parks inline, so
 //! the 1 ms coarseness never distorts fast pacing.
 //!
 //! Two rules keep a busy pool from waking threads that have nothing to

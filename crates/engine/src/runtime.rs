@@ -15,12 +15,13 @@
 //!
 //! The state machine yields at every former blocking point — queue
 //! receive, modeled service time, token-bucket pacing, blocking send,
-//! source `next_poll` — and caps every park at one monitoring tick, so
+//! source `next_poll` — and caps every wait at one monitoring tick, so
 //! an engine stop (stop flag, `Control::Stop`, peer disconnect) takes
 //! effect within one tick no matter where a stage is. Modeled service
 //! time is realized as an inline sleep that *occupies* a pool worker
-//! ("N cores" means N concurrent service slices); pure waits park on
-//! the pool's timer wheel and cost nothing.
+//! ("N cores" means N concurrent service slices); a stage waiting for a
+//! peer — input, or room in a full queue — releases its core until the
+//! peer wakes it, and timed waits park on the pool's timer wheel.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -79,23 +80,33 @@ pub(crate) struct CheckpointCfg {
     pub(crate) cursors: Option<CursorProbe>,
 }
 
-/// Deduplicated wake handle from a stage's emit path to the reactor
-/// source draining its remote-edge bridge channel.
+/// Deduplicated wake handle from a stage to a reactor source: the
+/// sender draining a remote edge's bridge channel, or the in-edge
+/// connection that acks what the stage consumed.
 ///
-/// A per-packet `Reactor::notify` would put an eventfd write syscall on
-/// the hot path; instead the draining source *arms* the handle just
-/// before parking (then re-checks its channel, closing the lost-wakeup
-/// window), and [`RemoteWake::ping`] pays the syscall only on the
-/// armed→disarmed edge. While the source is actively draining, pings
-/// cost one atomic swap.
+/// A per-packet `Reactor::notify` would put a syscall on the hot path;
+/// instead the source *arms* the handle just before parking (then
+/// re-checks its work, closing the lost-wakeup window), and
+/// [`RemoteWake::ping`] notifies only on the armed→disarmed edge. While
+/// the source is busy, pings cost one atomic swap.
+///
+/// On a bridge the handle also carries the other direction: the stage
+/// raises [`RemoteWake::note_blocked`] when it finds the bridge full,
+/// and the sender wakes it after taking packets.
 pub(crate) struct RemoteWake {
     armed: AtomicBool,
+    /// The stage writing into the bridge found it full.
+    blocked: AtomicBool,
     slot: Mutex<Option<(Reactor, Token)>>,
 }
 
 impl RemoteWake {
     pub(crate) fn new() -> Arc<RemoteWake> {
-        Arc::new(RemoteWake { armed: AtomicBool::new(false), slot: Mutex::new(None) })
+        Arc::new(RemoteWake {
+            armed: AtomicBool::new(false),
+            blocked: AtomicBool::new(false),
+            slot: Mutex::new(None),
+        })
     }
 
     /// Point the handle at the currently registered source, and service
@@ -119,23 +130,106 @@ impl RemoteWake {
         self.armed.store(true, Ordering::Release);
     }
 
-    /// Wake the parked source, once per arm.
-    pub(crate) fn ping(&self) {
-        if self.armed.swap(false, Ordering::AcqRel) {
-            if let Some((reactor, token)) =
-                self.slot.lock().unwrap_or_else(|p| p.into_inner()).as_ref()
-            {
+    /// Wake the parked source, once per arm. Returns whether it
+    /// notified the reactor.
+    pub(crate) fn ping(&self) -> bool {
+        if !self.armed.swap(false, Ordering::AcqRel) {
+            return false;
+        }
+        match self.slot.lock().unwrap_or_else(|p| p.into_inner()).as_ref() {
+            Some((reactor, token)) => {
                 reactor.notify(*token);
-                crate::executor::note_reactor_notify();
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The stage found the bridge full and is about to park. It must
+    /// retry its send *after* this, so that either the retry finds room
+    /// or the sender's next [`RemoteWake::take_blocked`] sees the flag.
+    pub(crate) fn note_blocked(&self) {
+        self.blocked.store(true, Ordering::SeqCst);
+    }
+
+    /// Called by the sender after taking packets from the bridge: true
+    /// when the stage is parked on it and needs a wake.
+    pub(crate) fn take_blocked(&self) -> bool {
+        self.blocked.load(Ordering::SeqCst) && self.blocked.swap(false, Ordering::SeqCst)
+    }
+}
+
+/// The consuming end of one remote in-edge's credit: the highest link
+/// sequence its stage has dequeued, and the wake of the connection that
+/// acks it upstream. A new sender incarnation (a fresh sequence space)
+/// gets a fresh `EdgeCredit`, so packets of the old one still queued
+/// cannot advance the new cursor.
+pub(crate) struct EdgeCredit {
+    consumed: AtomicU64,
+    /// Blocking edges ack the consumed cursor, so each dequeue pings the
+    /// connection; lossy edges ack on arrival and skip the ping.
+    ack_on_consume: bool,
+    pub(crate) ack: Arc<RemoteWake>,
+}
+
+impl EdgeCredit {
+    pub(crate) fn new(consumed: u64, ack_on_consume: bool) -> Arc<EdgeCredit> {
+        Arc::new(EdgeCredit {
+            consumed: AtomicU64::new(consumed),
+            ack_on_consume,
+            ack: RemoteWake::new(),
+        })
+    }
+
+    /// Highest link sequence the stage has dequeued.
+    pub(crate) fn consumed(&self) -> u64 {
+        self.consumed.load(Ordering::Acquire)
+    }
+}
+
+/// One entry of a stage's input queue, or of a remote edge's bridge.
+pub(crate) struct Queued {
+    pub(crate) packet: Packet,
+    /// Set on a packet that crossed a remote edge: that edge's credit
+    /// and the packet's link sequence.
+    pub(crate) credit: Option<(Arc<EdgeCredit>, u64)>,
+}
+
+impl Queued {
+    /// Take the packet out of the queue entry, handing its edge the
+    /// credit back.
+    fn dequeued(self) -> Packet {
+        if let Some((credit, seq)) = self.credit {
+            credit.consumed.fetch_max(seq, Ordering::AcqRel);
+            if credit.ack_on_consume {
+                // Unlike a sender ping, this arms no yield: a consumer
+                // that yields waits out its producer's time slice before
+                // it runs again.
+                credit.ack.ping();
             }
         }
+        self.packet
+    }
+}
+
+impl From<Packet> for Queued {
+    fn from(packet: Packet) -> Queued {
+        Queued { packet, credit: None }
+    }
+}
+
+/// Ping the sender draining a bridge. A notify arms the pool worker's
+/// yield after the running step (see [`crate::executor`]).
+fn ping_sender(wake: &RemoteWake) {
+    if wake.ping() {
+        crate::executor::note_sender_ping();
     }
 }
 
 /// One outgoing edge of a stage: a bounded channel plus the token bucket
 /// realizing the link's bandwidth.
 pub(crate) struct OutPort {
-    pub(crate) tx: Sender<Packet>,
+    pub(crate) tx: Sender<Queued>,
     pub(crate) bucket: TokenBucket,
     /// Blocking edges use a blocking send; lossy edges drop when full.
     pub(crate) blocking: bool,
@@ -201,7 +295,7 @@ pub(crate) struct StageWorker {
     pub(crate) cost: gates_core::CostModel,
     pub(crate) speed: f64,
     pub(crate) tracker: Option<LoadTracker>,
-    pub(crate) rx: Receiver<Packet>,
+    pub(crate) rx: Receiver<Queued>,
     pub(crate) ctl: Receiver<Control>,
     pub(crate) out: Vec<OutPort>,
     /// Logical output routes over `out` (see
@@ -249,7 +343,7 @@ impl StageWorker {
         loop {
             match task.advance() {
                 Step::Yield => {}
-                Step::Park { until } => {
+                Step::Park { until } | Step::Wait { until } => {
                     let now = Instant::now();
                     if until > now {
                         std::thread::sleep(until - now);
@@ -264,11 +358,9 @@ impl StageWorker {
 /// How many queued zero-service packets one activation may process
 /// before yielding, so co-scheduled stages stay responsive.
 const RECV_BATCH: usize = 64;
-/// Retry cadence for a blocking send into a full queue. It is no longer
-/// than the timer granularity, so the pool sleeps it inline and a wake
-/// from the draining consumer cannot cut it short: on a window-2 remote
-/// edge it paces the stage at about two packets per tick.
-const SEND_RETRY: Duration = Duration::from_millis(1);
+/// Retry cadence of a blocking send into a full queue for a stage on a
+/// thread of its own. On a pool the consumer's wake ends the wait.
+const BLOCKED_POLL: Duration = Duration::from_millis(1);
 
 /// One packet (or EOS marker) waiting in the stage's outbox.
 struct Emit {
@@ -475,6 +567,12 @@ impl StageTask {
         Step::Park { until: until.min(Instant::now() + self.tick) }
     }
 
+    /// Wait for a peer's wake — input, or room in a full queue — for at
+    /// most one tick.
+    fn wait(&self) -> Step {
+        Step::Wait { until: Instant::now() + self.tick }
+    }
+
     /// Begin the shutdown sequence (idempotent). `by_stop` marks the
     /// run as cut short: `on_eos` is skipped and pending sends switch to
     /// last-gasp semantics.
@@ -675,55 +773,54 @@ impl StageTask {
                 break;
             }
             self.run_timers();
-            match self.w.rx.try_recv() {
-                Ok(packet) if packet.is_eos() => {
-                    self.eos_remaining = self.eos_remaining.saturating_sub(1);
-                    if self.eos_remaining == 0 {
-                        self.enter_finish(false);
-                        break;
-                    }
-                }
-                Ok(packet) => {
-                    consumed = true;
-                    self.stats.packets_in += 1;
-                    self.stats.records_in += packet.records as u64;
-                    self.stats.bytes_in += packet.payload.len() as u64;
-                    self.stats.latency.push(self.now().since(packet.created_at).as_secs_f64());
-                    let service = self.w.cost.service_time(&packet, self.w.speed);
-                    self.api.set_now(self.now());
-                    self.w.processor.process(packet, &mut self.api);
-                    let extra = self.api.take_extra_cost();
-                    let total = service.as_secs_f64() + extra.as_secs_f64() / self.w.speed;
-                    self.enqueue_emitted();
-                    if total > 0.0 {
-                        // Realize the service time in tick slices (next
-                        // steps) so the queue keeps being observed and a
-                        // stop interrupts a long service.
-                        self.phase = Phase::Service { remaining: total };
-                        break;
-                    }
-                    // Zero-cost packet: try to flush inline and keep
-                    // draining; park only if pacing or a full peer
-                    // queue demands it.
-                    self.phase = Phase::Flush { after: After::Loop };
-                    match self.pump_outbox() {
-                        None => {
-                            self.maybe_checkpoint(self.stats.packets_in);
-                            self.phase = Phase::Loop;
-                        }
-                        Some(until) => {
-                            self.wake_upstreams(consumed);
-                            return self.park(until);
-                        }
-                    }
-                }
+            let packet = match self.w.rx.try_recv() {
+                Ok(queued) => queued.dequeued(),
                 Err(TryRecvError::Empty) => {
                     self.wake_upstreams(consumed);
-                    return self.park(Instant::now() + self.tick);
+                    return self.wait();
                 }
                 Err(TryRecvError::Disconnected) => {
                     self.enter_finish(false);
                     break;
+                }
+            };
+            if packet.is_eos() {
+                self.eos_remaining = self.eos_remaining.saturating_sub(1);
+                if self.eos_remaining == 0 {
+                    self.enter_finish(false);
+                    break;
+                }
+                continue;
+            }
+            consumed = true;
+            self.stats.packets_in += 1;
+            self.stats.records_in += packet.records as u64;
+            self.stats.bytes_in += packet.payload.len() as u64;
+            self.stats.latency.push(self.now().since(packet.created_at).as_secs_f64());
+            let service = self.w.cost.service_time(&packet, self.w.speed);
+            self.api.set_now(self.now());
+            self.w.processor.process(packet, &mut self.api);
+            let extra = self.api.take_extra_cost();
+            let total = service.as_secs_f64() + extra.as_secs_f64() / self.w.speed;
+            self.enqueue_emitted();
+            if total > 0.0 {
+                // Realize the service time in tick slices (next steps) so
+                // the queue keeps being observed and a stop interrupts a
+                // long service.
+                self.phase = Phase::Service { remaining: total };
+                break;
+            }
+            // Zero-cost packet: try to flush inline and keep draining;
+            // park only if pacing or a full peer queue demands it.
+            self.phase = Phase::Flush { after: After::Loop };
+            match self.pump_outbox() {
+                None => {
+                    self.maybe_checkpoint(self.stats.packets_in);
+                    self.phase = Phase::Loop;
+                }
+                Some(step) => {
+                    self.wake_upstreams(consumed);
+                    return step;
                 }
             }
         }
@@ -755,7 +852,7 @@ impl StageTask {
     /// Pump the outbox; when it drains, move on per `after`.
     fn step_flush(&mut self) -> Step {
         match self.pump_outbox() {
-            Some(until) => self.park(until),
+            Some(step) => step,
             None => {
                 let Phase::Flush { after } = self.phase else {
                     unreachable!("step_flush outside Flush phase")
@@ -862,13 +959,13 @@ impl StageTask {
         }
     }
 
-    /// Drain the outbox head-first. Returns `Some(instant)` when the
-    /// head must wait (token-bucket pacing, or retry of a blocking send
-    /// into a full queue) and `None` once empty. Once the run is
+    /// Drain the outbox head-first. Returns the step to take when the
+    /// head must wait — a park for token-bucket pacing, a wait for room
+    /// in a full queue — and `None` once empty. Once the run is
     /// stopped, pacing is skipped and every packet gets one last-gasp
     /// `try_send` (a failed non-marker counts as a drop) so shutdown
     /// never wedges on a full queue whose consumer already quit.
-    fn pump_outbox(&mut self) -> Option<Instant> {
+    fn pump_outbox(&mut self) -> Option<Step> {
         loop {
             let stop = self.stopped || self.w.stop.load(Ordering::Relaxed);
             let head = self.outbox.front_mut()?;
@@ -888,12 +985,12 @@ impl StageTask {
             }
             let ready_at = head.ready_at.expect("pacing decided above");
             if !stop && ready_at > Instant::now() {
-                return Some(ready_at);
+                return Some(self.park(ready_at));
             }
             let e = self.outbox.pop_front().expect("head exists");
             let port = &self.w.out[e.port];
             if stop {
-                if port.tx.try_send(e.packet).is_err() {
+                if port.tx.try_send(e.packet.into()).is_err() {
                     if !e.final_marker {
                         port.drops.fetch_add(1, Ordering::Relaxed);
                     }
@@ -903,30 +1000,40 @@ impl StageTask {
                 continue;
             }
             if port.blocking || e.final_marker {
-                // Windowed semantics: wait for the receiver to make
-                // room, retrying on a short timer (or sooner, when the
-                // consumer wakes us after draining).
-                match port.tx.try_send(e.packet) {
+                // Windowed semantics: wait for the receiver to make room.
+                // On a pool the consumer wakes us once it has: a local
+                // stage after draining its queue, a bridge's sender after
+                // taking from it. Note the block on a bridge *before*
+                // retrying, so the sender's next take cannot miss it.
+                let sent = match (port.tx.try_send(e.packet.into()), &port.remote_wake) {
+                    (Err(TrySendError::Full(queued)), Some(w)) => {
+                        w.note_blocked();
+                        ping_sender(w);
+                        port.tx.try_send(queued)
+                    }
+                    (sent, _) => sent,
+                };
+                match sent {
                     Ok(()) => self.wake_port(e.port),
-                    Err(TrySendError::Full(p)) => {
-                        // A full bridge channel means its drainer is
-                        // behind: nudge it so the retry finds room.
-                        if let Some(w) = &port.remote_wake {
-                            w.ping();
-                        }
+                    Err(TrySendError::Full(queued)) => {
                         self.outbox.push_front(Emit {
                             port: e.port,
-                            packet: p,
+                            packet: queued.packet,
                             ready_at: e.ready_at,
                             final_marker: e.final_marker,
                         });
-                        return Some(Instant::now() + SEND_RETRY);
+                        // Without a wake hub (thread-per-stage) nothing
+                        // tells the stage the consumer made room: poll.
+                        return Some(match self.w.hub {
+                            Some(_) => self.wait(),
+                            None => self.park(Instant::now() + BLOCKED_POLL),
+                        });
                     }
                     // Receiver gone: the packet has nowhere to go.
                     Err(TrySendError::Disconnected(_)) => {}
                 }
             } else {
-                match port.tx.try_send(e.packet) {
+                match port.tx.try_send(e.packet.into()) {
                     Ok(()) => self.wake_port(e.port),
                     Err(_) => {
                         port.drops.fetch_add(1, Ordering::Relaxed);
@@ -943,7 +1050,7 @@ impl StageTask {
             hub.wake(key);
         }
         if let Some(w) = &self.w.out[port].remote_wake {
-            w.ping();
+            ping_sender(w);
         }
     }
 

@@ -55,7 +55,7 @@ pub use frame::{
 };
 pub use link::LinkModel;
 pub use pool::{BufferPool, FrozenBuf, PoolBuf, PoolStats};
-pub use reactor::{Directive, Reactor, ReactorPool, Ready, Source, Token};
+pub use reactor::{Directive, Driver, Reactor, ReactorPool, Ready, Source, Token};
 pub use reader::{PooledReader, READ_CHUNK};
 pub use spec::{Bandwidth, FlowControl, LinkSpec};
 pub use token_bucket::TokenBucket;

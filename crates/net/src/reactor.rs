@@ -1,13 +1,13 @@
 //! Readiness-driven I/O reactor.
 //!
-//! A [`Reactor`] owns one thread and one epoll instance and drives any
-//! number of registered [`Source`]s — sockets, listeners, anything with
-//! an fd — with level-triggered readiness instead of blocking reads and
+//! A [`Reactor`] owns one epoll instance and drives any number of
+//! registered [`Source`]s — sockets, listeners, anything with an fd —
+//! with level-triggered readiness instead of blocking reads and
 //! `set_read_timeout` polling. Cross-thread coordination goes through a
 //! command queue flushed by an `eventfd` wakeup: other threads
 //! [`Reactor::register`] new sources, [`Reactor::notify`] a source
 //! (e.g. "your send queue is non-empty"), or [`Reactor::close`] one,
-//! all without touching the reactor thread's state directly.
+//! all without touching the driving thread's state directly.
 //!
 //! Each time a source is serviced it returns a [`Directive`] declaring
 //! what it wants next: read interest (dropped for backpressure pauses),
@@ -16,17 +16,23 @@
 //! The reactor translates those into `epoll_ctl` interest changes and
 //! its `epoll_wait` timeout, so an idle data plane makes zero wakeups.
 //!
-//! Several reactors can share the load: a [`ReactorPool`] spawns `N`
-//! reactor threads (`--reactors N` in the CLI) and deals sources onto
-//! them round-robin.
+//! The loop itself is a [`Driver`] that any one thread turns.
+//! [`Reactor::spawn`] gives it a thread of its own that turns it
+//! forever; [`Reactor::with_driver`] hands it to the caller instead —
+//! the engine's pool workers each turn one between stage steps, so a
+//! stage and the sockets it feeds share a thread. A notify, register
+//! or close issued *by the driving thread* skips the eventfd write: it
+//! only flags the driver, which services it on its next
+//! [`Driver::service_pending`] or turn.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::io;
 use std::os::unix::io::RawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use epoll::{Epoll, Event, EventFd, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
@@ -88,7 +94,7 @@ impl Directive {
 /// An fd-backed object driven by a [`Reactor`].
 ///
 /// The source owns its socket. `service` performs the actual
-/// nonblocking I/O; it is always called from the reactor thread, so a
+/// nonblocking I/O; it is always called from the driving thread, so a
 /// source needs no internal locking for state only it touches.
 pub trait Source: Send {
     /// The fd to poll. Must stay valid and constant while registered.
@@ -114,10 +120,33 @@ struct Shared {
     notifies: Mutex<Vec<Token>>,
     next_token: AtomicU64,
     shutdown: AtomicBool,
+    /// The driving thread queued a command or notify and skipped the
+    /// eventfd write. Written and read only by the driving thread.
+    local_pending: AtomicBool,
+    /// Eventfd writes made to wake the driver.
+    wakeups: AtomicU64,
 }
 
-/// Handle to a reactor thread. Cheap to clone; all methods are safe
-/// from any thread (including from inside a source's `service`).
+thread_local! {
+    /// Address of the [`Shared`] of the reactor this thread drives, or 0.
+    static DRIVING: Cell<usize> = const { Cell::new(0) };
+}
+
+impl Shared {
+    /// Make sure the driver sees what was just queued: a flag when the
+    /// caller is the driving thread, else an eventfd write.
+    fn signal(&self) {
+        if DRIVING.with(Cell::get) == self as *const Shared as usize {
+            self.local_pending.store(true, Ordering::Relaxed);
+        } else {
+            self.wakeups.fetch_add(1, Ordering::Relaxed);
+            self.wakeup.notify();
+        }
+    }
+}
+
+/// Handle to a reactor. Cheap to clone; all methods are safe from any
+/// thread (including from inside a source's `service`).
 #[derive(Clone)]
 pub struct Reactor {
     shared: Arc<Shared>,
@@ -128,8 +157,22 @@ pub struct Reactor {
 const WAKE_TOKEN: Token = 0;
 
 impl Reactor {
-    /// Spawn a reactor thread.
+    /// Spawn a reactor with a thread of its own that turns its driver
+    /// until [`Reactor::shutdown`].
     pub fn spawn(name: &str) -> io::Result<Reactor> {
+        let (reactor, mut driver) = Reactor::with_driver()?;
+        let thread =
+            std::thread::Builder::new().name(format!("gates-reactor-{name}")).spawn(move || {
+                driver.attach();
+                while driver.turn(None) {}
+            })?;
+        *reactor.thread.lock().unwrap_or_else(|p| p.into_inner()) = Some(thread);
+        Ok(reactor)
+    }
+
+    /// A reactor without a thread: the caller turns the returned
+    /// [`Driver`] on a thread of its choosing.
+    pub fn with_driver() -> io::Result<(Reactor, Driver)> {
         let epoll = Epoll::new()?;
         let wakeup = EventFd::new()?;
         epoll.add(wakeup.fd(), EPOLLIN, WAKE_TOKEN)?;
@@ -140,41 +183,72 @@ impl Reactor {
             notifies: Mutex::new(Vec::new()),
             next_token: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
+            local_pending: AtomicBool::new(false),
+            wakeups: AtomicU64::new(0),
         });
-        let loop_shared = shared.clone();
-        let thread = std::thread::Builder::new()
-            .name(format!("gates-reactor-{name}"))
-            .spawn(move || run_loop(loop_shared))?;
-        Ok(Reactor { shared, thread: Arc::new(Mutex::new(Some(thread))) })
+        let driver = Driver {
+            shared: Arc::clone(&shared),
+            entries: HashMap::new(),
+            events: Vec::with_capacity(64),
+            cmds: Vec::new(),
+            notifies: Vec::new(),
+            due: Vec::new(),
+        };
+        Ok((Reactor { shared, thread: Arc::new(Mutex::new(None)) }, driver))
     }
 
     /// Register a source; it is serviced once immediately (with only
     /// `notified` set) so it can arm timers or start flushing.
     pub fn register(&self, source: Box<dyn Source>) -> Token {
+        self.register_with(move |_| source)
+    }
+
+    /// Register the source `make` builds from its own token — for a
+    /// source that hands its `(Reactor, Token)` to others to be
+    /// notified through.
+    pub fn register_with(&self, make: impl FnOnce(Token) -> Box<dyn Source>) -> Token {
         let token = self.shared.next_token.fetch_add(1, Ordering::Relaxed);
-        self.shared.cmds.lock().unwrap().push(Cmd::Register(token, source));
-        self.shared.wakeup.notify();
+        let source = make(token);
+        self.shared
+            .cmds
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .push(Cmd::Register(token, source));
+        self.shared.signal();
         token
     }
 
     /// Service a source out-of-band (e.g. its send queue went
     /// non-empty, or backpressure downstream cleared).
     pub fn notify(&self, token: Token) {
-        self.shared.notifies.lock().unwrap().push(token);
-        self.shared.wakeup.notify();
+        self.shared.notifies.lock().unwrap_or_else(|p| p.into_inner()).push(token);
+        self.shared.signal();
     }
 
     /// Deregister and drop a source.
     pub fn close(&self, token: Token) {
-        self.shared.cmds.lock().unwrap().push(Cmd::Close(token));
-        self.shared.wakeup.notify();
+        self.shared.cmds.lock().unwrap_or_else(|p| p.into_inner()).push(Cmd::Close(token));
+        self.shared.signal();
     }
 
-    /// Stop the reactor thread, dropping every source. Idempotent.
+    /// Interrupt the driver's wait without servicing any source (a pool
+    /// worker idling in its reactor has new work).
+    pub fn wake(&self) {
+        self.shared.signal();
+    }
+
+    /// Eventfd writes made so far to wake this reactor's driver.
+    pub fn wakeups(&self) -> u64 {
+        self.shared.wakeups.load(Ordering::Relaxed)
+    }
+
+    /// Stop the reactor, dropping every source, and join its thread if
+    /// it has one; a caller-driven reactor closes its sources on the
+    /// driver's next turn. Idempotent.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.wakeup.notify();
-        if let Some(t) = self.thread.lock().unwrap().take() {
+        if let Some(t) = self.thread.lock().unwrap_or_else(|p| p.into_inner()).take() {
             let _ = t.join();
         }
     }
@@ -198,167 +272,190 @@ fn interest_mask(d: &Directive) -> u32 {
     m
 }
 
-fn run_loop(shared: Arc<Shared>) {
-    let mut entries: HashMap<Token, Entry> = HashMap::new();
-    let mut events: Vec<Event> = Vec::with_capacity(64);
-    // Scratch buffers swapped with the shared queues each iteration so
-    // the steady-state loop never allocates.
-    let mut cmds: Vec<Cmd> = Vec::new();
-    let mut notifies: Vec<Token> = Vec::new();
-    let mut due: Vec<Token> = Vec::new();
+/// Whole milliseconds covering `d`, rounded up so a deadline never fires
+/// early and a turn never busy-spins on a sub-millisecond remainder.
+fn ceil_ms(d: Duration) -> i32 {
+    let ms = d.as_millis().min(i32::MAX as u128) as i32;
+    ms.saturating_add(i32::from(!d.subsec_nanos().is_multiple_of(1_000_000)))
+}
 
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
+/// The event loop of one reactor, turned by exactly one thread at a
+/// time. Dropping it drops every registered source.
+pub struct Driver {
+    shared: Arc<Shared>,
+    entries: HashMap<Token, Entry>,
+    events: Vec<Event>,
+    // Scratch buffers swapped with the shared queues each turn so the
+    // steady-state loop never allocates.
+    cmds: Vec<Cmd>,
+    notifies: Vec<Token>,
+    due: Vec<Token>,
+}
+
+impl Driver {
+    /// Make the calling thread this reactor's driving thread: its
+    /// notifies, registrations and closes skip the eventfd write.
+    pub fn attach(&self) {
+        DRIVING.with(|d| d.set(Arc::as_ptr(&self.shared) as usize));
+    }
+
+    /// Service the registrations, closes and notifies the driving thread
+    /// queued since the last turn, without polling any fd.
+    pub fn service_pending(&mut self) {
+        if self.shared.local_pending.swap(false, Ordering::Relaxed) {
+            self.run_queues(Instant::now());
         }
+    }
 
-        // epoll timeout: the nearest source deadline, rounded up so a
-        // deadline never fires early and the loop never busy-spins.
+    /// One turn of the loop: wait until an fd is ready, a wakeup
+    /// arrives, the nearest source deadline passes or `cap` elapses
+    /// (`None`: no cap), then service queued commands and notifies, fd
+    /// readiness, and expired deadlines. Returns `false` once the
+    /// reactor is shut down; its sources are dropped by then.
+    pub fn turn(&mut self, cap: Option<Duration>) -> bool {
         let now = Instant::now();
-        let timeout_ms = entries.values().filter_map(|e| e.deadline).min().map(|d| {
-            let left = d.saturating_duration_since(now);
-            (left.as_millis() as i32).saturating_add(if left.subsec_nanos() % 1_000_000 != 0 {
-                1
-            } else {
-                0
-            })
-        });
-        if shared.epoll.wait(&mut events, timeout_ms).is_err() {
-            break;
+        let nearest = self.entries.values().filter_map(|e| e.deadline).min();
+        let mut timeout = nearest.map(|d| ceil_ms(d.saturating_duration_since(now)));
+        if let Some(cap) = cap {
+            let cap = ceil_ms(cap);
+            timeout = Some(timeout.map_or(cap, |t| t.min(cap)));
+        }
+        if self.shared.local_pending.swap(false, Ordering::Relaxed) {
+            timeout = Some(0);
+        }
+        let mut events = std::mem::take(&mut self.events);
+        if self.shared.epoll.wait(&mut events, timeout).is_err() {
+            self.shared.shutdown.store(true, Ordering::SeqCst);
         }
         let now = Instant::now();
-
-        // Phase 1: drain the wakeup fd and the cross-thread queues.
         if events.iter().any(|e| e.token == WAKE_TOKEN) {
-            shared.wakeup.drain();
+            self.shared.wakeup.drain();
         }
-        std::mem::swap(&mut cmds, &mut *shared.cmds.lock().unwrap());
-        for cmd in cmds.drain(..) {
-            match cmd {
-                Cmd::Register(token, source) => {
-                    let fd = source.fd();
-                    let _ = epoll::set_nonblocking(fd, true);
-                    let mut entry = Entry { source, fd, interest: 0, deadline: None };
-                    // Initial service lets the source arm itself.
-                    let d = entry.source.service(Ready { notified: true, ..Ready::default() }, now);
-                    if d.close {
-                        entry.source.closed();
-                        continue;
-                    }
-                    entry.interest = interest_mask(&d);
-                    entry.deadline = d.deadline;
-                    if shared.epoll.add(fd, entry.interest, token).is_ok() {
-                        entries.insert(token, entry);
-                    } else {
-                        entry.source.closed();
-                    }
-                }
-                Cmd::Close(token) => {
-                    if let Some(mut e) = entries.remove(&token) {
-                        let _ = shared.epoll.delete(e.fd);
-                        e.source.closed();
-                    }
-                }
-            }
-        }
-
-        // Phase 2: explicit notifies.
-        std::mem::swap(&mut notifies, &mut *shared.notifies.lock().unwrap());
-        for token in notifies.drain(..) {
-            service_one(
-                &shared,
-                &mut entries,
-                token,
-                Ready { notified: true, ..Ready::default() },
-                now,
-            );
-        }
-
-        // Phase 3: fd readiness.
+        self.run_queues(now);
         for ev in events.iter().copied() {
             if ev.token == WAKE_TOKEN {
                 continue;
             }
             let ready =
                 Ready { readable: ev.readable(), writable: ev.writable(), ..Ready::default() };
-            service_one(&shared, &mut entries, ev.token, ready, now);
+            self.service_one(ev.token, ready, now);
         }
+        self.events = events;
 
-        // Phase 4: expired deadlines.
-        due.clear();
-        for (t, e) in entries.iter() {
+        self.due.clear();
+        for (t, e) in self.entries.iter() {
             if e.deadline.is_some_and(|d| d <= now) {
-                due.push(*t);
+                self.due.push(*t);
             }
         }
+        let mut due = std::mem::take(&mut self.due);
         for token in due.drain(..) {
-            if let Some(e) = entries.get_mut(&token) {
+            if let Some(e) = self.entries.get_mut(&token) {
                 e.deadline = None;
             }
-            service_one(
-                &shared,
-                &mut entries,
-                token,
-                Ready { timed_out: true, ..Ready::default() },
-                now,
-            );
+            self.service_one(token, Ready { timed_out: true, ..Ready::default() }, now);
+        }
+        self.due = due;
+
+        if self.shared.shutdown.load(Ordering::SeqCst) {
+            self.close_all();
+            return false;
+        }
+        true
+    }
+
+    /// Drain the cross-thread queues: registrations and closes first,
+    /// then explicit notifies.
+    fn run_queues(&mut self, now: Instant) {
+        let mut cmds = std::mem::take(&mut self.cmds);
+        std::mem::swap(&mut cmds, &mut *self.shared.cmds.lock().unwrap_or_else(|p| p.into_inner()));
+        for cmd in cmds.drain(..) {
+            match cmd {
+                Cmd::Register(token, source) => self.add(token, source, now),
+                Cmd::Close(token) => {
+                    if let Some(mut e) = self.entries.remove(&token) {
+                        let _ = self.shared.epoll.delete(e.fd);
+                        e.source.closed();
+                    }
+                }
+            }
+        }
+        self.cmds = cmds;
+
+        let mut notifies = std::mem::take(&mut self.notifies);
+        std::mem::swap(
+            &mut notifies,
+            &mut *self.shared.notifies.lock().unwrap_or_else(|p| p.into_inner()),
+        );
+        for token in notifies.drain(..) {
+            self.service_one(token, Ready { notified: true, ..Ready::default() }, now);
+        }
+        self.notifies = notifies;
+    }
+
+    fn add(&mut self, token: Token, mut source: Box<dyn Source>, now: Instant) {
+        if self.shared.shutdown.load(Ordering::SeqCst) {
+            source.closed();
+            return;
+        }
+        let fd = source.fd();
+        let _ = epoll::set_nonblocking(fd, true);
+        // Initial service lets the source arm itself.
+        let d = source.service(Ready { notified: true, ..Ready::default() }, now);
+        if d.close {
+            source.closed();
+            return;
+        }
+        let interest = interest_mask(&d);
+        if self.shared.epoll.add(fd, interest, token).is_ok() {
+            self.entries.insert(token, Entry { source, fd, interest, deadline: d.deadline });
+        } else {
+            source.closed();
         }
     }
 
-    for (_, mut e) in entries.drain() {
-        let _ = shared.epoll.delete(e.fd);
-        e.source.closed();
+    fn service_one(&mut self, token: Token, ready: Ready, now: Instant) {
+        let Some(entry) = self.entries.get_mut(&token) else { return };
+        let d = entry.source.service(ready, now);
+        if d.close {
+            let mut e = self.entries.remove(&token).expect("entry present");
+            let _ = self.shared.epoll.delete(e.fd);
+            e.source.closed();
+            return;
+        }
+        entry.deadline = d.deadline;
+        let mask = interest_mask(&d);
+        if mask != entry.interest {
+            entry.interest = mask;
+            let _ = self.shared.epoll.modify(entry.fd, mask, token);
+        }
+    }
+
+    fn close_all(&mut self) {
+        for (_, mut e) in self.entries.drain() {
+            let _ = self.shared.epoll.delete(e.fd);
+            e.source.closed();
+        }
     }
 }
 
-fn service_one(
-    shared: &Shared,
-    entries: &mut HashMap<Token, Entry>,
-    token: Token,
-    ready: Ready,
-    now: Instant,
-) {
-    let Some(entry) = entries.get_mut(&token) else { return };
-    let d = entry.source.service(ready, now);
-    if d.close {
-        let mut e = entries.remove(&token).expect("entry present");
-        let _ = shared.epoll.delete(e.fd);
-        e.source.closed();
-        return;
-    }
-    entry.deadline = d.deadline;
-    let mask = interest_mask(&d);
-    if mask != entry.interest {
-        entry.interest = mask;
-        let _ = shared.epoll.modify(entry.fd, mask, token);
+impl Drop for Driver {
+    fn drop(&mut self) {
+        self.close_all();
     }
 }
 
-/// A fixed pool of reactor threads; sources are dealt round-robin.
+/// A fixed set of reactors; sources are dealt round-robin.
 pub struct ReactorPool {
     reactors: Vec<Reactor>,
     next: AtomicUsize,
 }
 
 impl ReactorPool {
-    /// Spawn `n` reactors (at least one).
-    pub fn new(name: &str, n: usize) -> io::Result<ReactorPool> {
-        let n = n.max(1);
-        let mut reactors = Vec::with_capacity(n);
-        for i in 0..n {
-            reactors.push(Reactor::spawn(&format!("{name}-{i}"))?);
-        }
-        Ok(ReactorPool { reactors, next: AtomicUsize::new(0) })
-    }
-
-    /// Number of reactor threads.
-    pub fn len(&self) -> usize {
-        self.reactors.len()
-    }
-
-    /// Whether the pool is empty (never true: `new` spawns at least one).
-    pub fn is_empty(&self) -> bool {
-        self.reactors.is_empty()
+    /// Deal over `reactors`, which must not be empty.
+    pub fn new(reactors: Vec<Reactor>) -> ReactorPool {
+        assert!(!reactors.is_empty(), "a reactor pool needs at least one reactor");
+        ReactorPool { reactors, next: AtomicUsize::new(0) }
     }
 
     /// The next reactor in round-robin order. Register the returned
@@ -366,13 +463,6 @@ impl ReactorPool {
     pub fn pick(&self) -> Reactor {
         let i = self.next.fetch_add(1, Ordering::Relaxed) % self.reactors.len();
         self.reactors[i].clone()
-    }
-
-    /// Shut down every reactor.
-    pub fn shutdown(&self) {
-        for r in &self.reactors {
-            r.shutdown();
-        }
     }
 }
 
@@ -480,13 +570,13 @@ mod tests {
 
     #[test]
     fn pool_deals_round_robin() {
-        let pool = ReactorPool::new("rr", 2).unwrap();
-        assert_eq!(pool.len(), 2);
+        let (r0, _d0) = Reactor::with_driver().unwrap();
+        let (r1, _d1) = Reactor::with_driver().unwrap();
+        let pool = ReactorPool::new(vec![r0, r1]);
         let a = pool.pick();
         let b = pool.pick();
         let c = pool.pick();
         assert!(!Arc::ptr_eq(&a.shared, &b.shared));
         assert!(Arc::ptr_eq(&a.shared, &c.shared));
-        pool.shutdown();
     }
 }

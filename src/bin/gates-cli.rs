@@ -49,7 +49,7 @@ use gates::replay::{diff_adapt, Recording, RunRecipe};
 use gates::sim::{SimDuration, SimTime};
 
 fn usage() -> &'static str {
-    "usage:\n  gates-cli run <app.xml> [--grid <grid.xml>] [--duration <secs>]\n                          [--max-time <secs>] [--engine des|threaded|dist]\n                          [--observe-ms <ms>] [--adapt-ms <ms>]\n                          [--trace <out.jsonl>]\n                          [--listen <host:port>] [--workers <n>]\n                          [--drain-ms <ms>] [--retry-attempts <n>] [--retry-base-ms <ms>]\n                          [--heartbeat-ms <ms>] [--heartbeat-timeout-ms <ms>]\n                          [--checkpoint-every <packets>]\n                          [--cores <n>]      executor pool size for threaded runs (default: auto)\n                          [--chaos <spec>]   e.g. \"seed=7,drop=0.02,delay=5ms..40ms\"\n                          [--record <out.jsonl>]  capture a replayable recording\n                          [--policy paper|aimd|pid]  adaptation policy for every stage\n  gates-cli replay <recording.jsonl> [--policy paper|aimd|pid] [--trace <out.jsonl>]\n  gates-cli worker --name <name> --coordinator <host:port>\n                   [--site <site>] [--speed <f>] [--capacity <n>] [--bind-host <host>]\n                   [--cores <n>] [--reactors <n>]  I/O reactor threads (default: 1)\n  gates-cli apps\n  gates-cli template app|grid"
+    "usage:\n  gates-cli run <app.xml> [--grid <grid.xml>] [--duration <secs>]\n                          [--max-time <secs>] [--engine des|threaded|dist]\n                          [--observe-ms <ms>] [--adapt-ms <ms>]\n                          [--trace <out.jsonl>]\n                          [--listen <host:port>] [--workers <n>]\n                          [--drain-ms <ms>] [--retry-attempts <n>] [--retry-base-ms <ms>]\n                          [--heartbeat-ms <ms>] [--heartbeat-timeout-ms <ms>]\n                          [--checkpoint-every <packets>]\n                          [--cores <n>]      executor pool size for threaded runs (default: auto)\n                          [--chaos <spec>]   e.g. \"seed=7,drop=0.02,delay=5ms..40ms\"\n                          [--record <out.jsonl>]  capture a replayable recording\n                          [--policy paper|aimd|pid]  adaptation policy for every stage\n  gates-cli replay <recording.jsonl> [--policy paper|aimd|pid] [--trace <out.jsonl>]\n  gates-cli worker --name <name> --coordinator <host:port>\n                   [--site <site>] [--speed <f>] [--capacity <n>] [--bind-host <host>]\n                   [--cores <n>] [--reactors <n>]  pool threads driving sockets (default: 1)\n  gates-cli apps\n  gates-cli template app|grid"
 }
 
 fn main() -> ExitCode {

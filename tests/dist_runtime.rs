@@ -10,10 +10,23 @@
 //! * a worker is killed mid-run — the senders that lose their peer
 //!   retry with backoff, the coordinator records the loss, and the run
 //!   drains to a clean exit instead of hanging.
+//!
+//! Then the seeded chaos drills, and at the end flow-control tests that
+//! run the coordinator and the workers as threads of the test process,
+//! so their stages can report to the test directly.
 
 use std::io::{BufRead, BufReader, Read};
 use std::process::{Child, Command, Stdio};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+use bytes::Bytes;
+use gates::core::report::RunReport;
+use gates::core::{Packet, SourceStatus, StageApi, StageBuilder, StreamProcessor, Topology};
+use gates::engine::{DistConfig, DistEngine, DistWorker, RunOptions};
+use gates::grid::{AppConfig, ApplicationRepository};
+use gates::net::{Bandwidth, LinkSpec};
+use gates::sim::{SimDuration, SimTime};
 
 const CLI: &str = env!("CARGO_BIN_EXE_gates-cli");
 
@@ -22,8 +35,14 @@ fn config_path(name: &str) -> String {
 }
 
 fn spawn_worker(name: &str, site: &str, coordinator: &str) -> Child {
+    spawn_worker_with(name, site, coordinator, &[])
+}
+
+/// A worker process with extra `gates-cli worker` flags.
+fn spawn_worker_with(name: &str, site: &str, coordinator: &str, extra: &[&str]) -> Child {
     Command::new(CLI)
         .args(["worker", "--name", name, "--site", site, "--coordinator", coordinator])
+        .args(extra)
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
@@ -283,6 +302,16 @@ fn fault_signatures(trace_text: &str) -> Vec<(String, String, String)> {
 /// runs the same topology fault-free (the baseline for exact-count
 /// comparisons).
 fn run_dist_with_chaos(cfg: &std::path::Path, chaos: Option<&str>, tag: &str) -> (String, String) {
+    run_dist_with_chaos_on(cfg, chaos, tag, &[])
+}
+
+/// [`run_dist_with_chaos`] with extra flags for every worker.
+fn run_dist_with_chaos_on(
+    cfg: &std::path::Path,
+    chaos: Option<&str>,
+    tag: &str,
+    worker_flags: &[&str],
+) -> (String, String) {
     let trace = std::env::temp_dir().join(format!("gates_dist_chaos_{tag}.jsonl"));
     let _ = std::fs::remove_file(&trace);
     let mut args = vec![
@@ -311,9 +340,9 @@ fn run_dist_with_chaos(cfg: &std::path::Path, chaos: Option<&str>, tag: &str) ->
     }
     let (mut coord, addr, pump) = spawn_coordinator(&args);
     let mut workers = vec![
-        spawn_worker("w0", "site-0", &addr),
-        spawn_worker("w1", "site-1", &addr),
-        spawn_worker("wc", "central", &addr),
+        spawn_worker_with("w0", "site-0", &addr, worker_flags),
+        spawn_worker_with("w1", "site-1", &addr, worker_flags),
+        spawn_worker_with("wc", "central", &addr, worker_flags),
     ];
     let status = wait_with_timeout(&mut coord, Duration::from_secs(90), "coordinator");
     let stdout = pump.join().expect("stdout pump");
@@ -590,4 +619,220 @@ fn chaos_drops_are_replayed_to_zero_loss() {
     assert_eq!(lost, 0, "drop=0.02 must be fully repaired by replay; output:\n{stdout}");
     assert!(replayed > 0, "repairing drops must replay frames; output:\n{stdout}");
     assert_conservation(&stdout, "drop=0.02,dup=0.01");
+}
+
+/// The drop+dup drill again, with every worker on one executor thread
+/// that also drives its sockets (`--cores 1 --reactors 1`): stages,
+/// socket I/O and acks interleave on a single thread, and delivery must
+/// still end with zero loss and exact conservation.
+#[test]
+fn single_thread_workers_repair_chaos_drops_to_zero_loss() {
+    let cfg = write_chaos_config("gates_dist_chaos_zeroloss_1t");
+    let spec = Some("seed=7,drop=0.02,dup=0.01");
+    let one_thread = ["--cores", "1", "--reactors", "1"];
+    let (stdout, _) = run_dist_with_chaos_on(&cfg, spec, "zeroloss_1t", &one_thread);
+
+    assert!(!stdout.contains("lost worker:"), "zero-loss run lost a worker:\n{stdout}");
+    let (lost, replayed, _deduped, _stalled) = delivery_counts(&stdout);
+    assert_eq!(lost, 0, "drop=0.02 must be fully repaired by replay; output:\n{stdout}");
+    assert!(replayed > 0, "repairing drops must replay frames; output:\n{stdout}");
+    assert_conservation(&stdout, "one thread per worker, drop=0.02,dup=0.01");
+}
+
+// ---------------------------------------------------------------------
+// Flow control, in process
+// ---------------------------------------------------------------------
+
+/// What the stages of an in-process probe run saw.
+#[derive(Clone, Default)]
+struct ProbeLog {
+    /// When any source made its first poll.
+    first_poll: Arc<Mutex<Option<Instant>>>,
+    /// `(stream, seq, when)` of every packet the sink processed.
+    arrivals: Arc<Mutex<Vec<(u32, u64, Instant)>>>,
+}
+
+/// Streams `left` packets as fast as the pipeline takes them.
+struct CountingSource {
+    stream: u32,
+    next: u64,
+    left: u64,
+    log: ProbeLog,
+}
+
+impl StreamProcessor for CountingSource {
+    fn process(&mut self, _packet: Packet, _api: &mut StageApi) {}
+
+    fn poll_generate(&mut self, api: &mut StageApi) -> SourceStatus {
+        self.log.first_poll.lock().unwrap().get_or_insert_with(Instant::now);
+        if self.left == 0 {
+            return SourceStatus::Done;
+        }
+        self.left -= 1;
+        api.emit(Packet::data(self.stream, self.next, 1, Bytes::from_static(b"credit")));
+        self.next += 1;
+        SourceStatus::Continue { next_poll: SimDuration::ZERO }
+    }
+}
+
+/// Records every arrival, then spends `work` on it.
+struct RecordingSink {
+    work: Duration,
+    log: ProbeLog,
+}
+
+impl StreamProcessor for RecordingSink {
+    fn process(&mut self, packet: Packet, _api: &mut StageApi) {
+        self.log.arrivals.lock().unwrap().push((packet.stream_id, packet.seq, Instant::now()));
+        if !self.work.is_zero() {
+            std::thread::sleep(self.work);
+        }
+    }
+}
+
+/// A disconnected in-edge is closed with an injected end-of-stream after
+/// this long; a probe run that takes it has lost its own marker.
+const PROBE_DRAIN_WINDOW: Duration = Duration::from_secs(10);
+
+/// Sources `src-<i>` on sites `site-<i>`, the `i`-th sending
+/// `packets[i]` packets, each over its own blocking remote edge with
+/// `buffer_packets = 2` into `sink` (site `sink`, queue of 64), which
+/// spends `work` per packet. The sink's queue is observed every
+/// millisecond. Fails if the run outlasts half the drain window.
+fn run_probe(packets: &[u64], work: Duration, cores: usize) -> (RunReport, ProbeLog) {
+    let log = ProbeLog::default();
+    let mut repo = ApplicationRepository::new();
+    {
+        let (packets, log) = (packets.to_vec(), log.clone());
+        repo.publish("credit-probe", move |_| {
+            let mut t = Topology::new();
+            let sink_log = log.clone();
+            let sink = t
+                .add_stage(
+                    StageBuilder::new("sink")
+                        .queue_capacity(64)
+                        .processor(move || RecordingSink { work, log: sink_log.clone() }),
+                )
+                .map_err(|e| e.to_string())?;
+            let link =
+                LinkSpec::with_bandwidth(Bandwidth::bytes_per_sec(1e12)).buffer(2).blocking();
+            for (i, &left) in packets.iter().enumerate() {
+                let log = log.clone();
+                let stream = i as u32;
+                let source = t
+                    .add_stage_raw(
+                        StageBuilder::new(format!("src-{i}")).site(format!("site-{i}")).processor(
+                            move || CountingSource { stream, next: 0, left, log: log.clone() },
+                        ),
+                    )
+                    .map_err(|e| e.to_string())?;
+                t.connect(source, sink, link.clone());
+            }
+            Ok(t)
+        });
+    }
+    let xml = AppConfig::new("credit-probe", "credit-probe").to_xml();
+    let opts = RunOptions::default()
+        .observe_every(SimDuration::from_millis(1))
+        .max_time(SimTime::from_secs_f64(30.0));
+    let config = DistConfig::default().drain_window(PROBE_DRAIN_WINDOW);
+    let engine = DistEngine::bind(xml, "127.0.0.1:0", packets.len() + 1, opts, config)
+        .expect("bind coordinator");
+    let addr = engine.local_addr().expect("coordinator address").to_string();
+    let sites = (0..packets.len()).map(|i| format!("site-{i}")).chain(["sink".to_string()]);
+    let workers: Vec<_> = sites
+        .map(|site| {
+            let (repo, addr) = (repo.clone(), addr.clone());
+            std::thread::spawn(move || {
+                DistWorker::new(site.clone(), addr).site(site).cores(cores).reactors(1).run(&repo)
+            })
+        })
+        .collect();
+    let started = Instant::now();
+    let report = engine.run(&repo).expect("coordinator run");
+    for w in workers {
+        w.join().expect("worker thread").expect("worker run");
+    }
+    let took = started.elapsed();
+    assert!(
+        took < PROBE_DRAIN_WINDOW / 2,
+        "the run took {took:?}: a stream must end on its own end-of-stream marker"
+    );
+    (report, log)
+}
+
+/// Every stream arrived whole, once and in order, and the coordinator
+/// counts no loss.
+fn assert_delivered_exactly(report: &RunReport, log: &ProbeLog, packets: &[u64]) {
+    assert_eq!(report.packets_lost, 0, "no packet may be lost");
+    let arrivals = log.arrivals.lock().unwrap();
+    for (stream, &n) in packets.iter().enumerate() {
+        let seqs: Vec<u64> =
+            arrivals.iter().filter(|a| a.0 == stream as u32).map(|a| a.1).collect();
+        assert_eq!(
+            seqs,
+            (0..n).collect::<Vec<_>>(),
+            "stream {stream}: every packet once, in order"
+        );
+    }
+    let sink = report.stages.iter().find(|s| s.name == "sink").expect("sink report");
+    let sent: u64 =
+        report.stages.iter().filter(|s| s.name.starts_with("src-")).map(|s| s.packets_out).sum();
+    assert_eq!(sink.packets_in, sent, "conservation: the sink consumed what the sources sent");
+}
+
+/// A slow consumer behind a blocking remote edge with two packets of
+/// buffer holds at most two unconsumed packets from it: credit returns
+/// only when the stage dequeues, not when a packet reaches its queue.
+#[test]
+fn credit_bounds_what_a_slow_consumer_holds() {
+    // Slow enough that the sending worker finishes (and stops) with its
+    // last packets still waiting for credit.
+    let packets = [40];
+    let (report, log) = run_probe(&packets, Duration::from_millis(15), 1);
+    assert_delivered_exactly(&report, &log, &packets);
+    let sink = report.stages.iter().find(|s| s.name == "sink").expect("sink report");
+    assert!(sink.queue.count() > 20, "the sink's queue was observed ({})", sink.queue.count());
+    assert!(
+        sink.queue.max() <= 2.0,
+        "the sink held {} unconsumed packets from a buffer-2 edge",
+        sink.queue.max()
+    );
+}
+
+/// Fan-in: two senders of different volume into one slow stage, on a
+/// two-thread pool. Each dequeue credits the edge its packet came from,
+/// so neither edge stalls or overruns: together they hold at most their
+/// two buffers, and both streams arrive whole.
+#[test]
+fn credit_is_returned_per_edge_under_fan_in() {
+    let packets = [300, 100];
+    let (report, log) = run_probe(&packets, Duration::from_micros(500), 2);
+    assert_delivered_exactly(&report, &log, &packets);
+    let sink = report.stages.iter().find(|s| s.name == "sink").expect("sink report");
+    assert!(
+        sink.queue.max() <= 4.0,
+        "the sink held {} unconsumed packets from two buffer-2 edges",
+        sink.queue.max()
+    );
+}
+
+/// A sender blocked on a full buffer-2 bridge is woken when its remote
+/// sender drains the bridge, not by a retry timer: 2 000 packets to a
+/// fast consumer stream in well under the second a 1 ms retry would
+/// take at two packets per tick (timed in optimized builds, as CI's
+/// `delivery` job runs it).
+#[test]
+fn a_drained_bridge_wakes_its_sender() {
+    let packets = [2_000];
+    let (report, log) = run_probe(&packets, Duration::ZERO, 1);
+    assert_delivered_exactly(&report, &log, &packets);
+    let first = log.first_poll.lock().unwrap().expect("the source ran");
+    let last = log.arrivals.lock().unwrap().last().expect("packets arrived").2;
+    let took = last - first;
+    // Only an optimized build moves packets fast enough for the bound to
+    // tell waking from polling; a debug build still checks delivery.
+    if !cfg!(debug_assertions) {
+        assert!(took < Duration::from_millis(500), "2 000 packets took {took:?}");
+    }
 }
