@@ -2,7 +2,8 @@
 //!
 //! The experiment harness: one binary per table/figure of the paper's
 //! evaluation (§5), plus ablation studies of the adaptation algorithm
-//! and Criterion micro-benchmarks of the hot paths.
+//! and the adaptation-policy A-B. Performance is measured by the perf
+//! ledger (`ledger/`), not here.
 //!
 //! | binary | paper artifact | what it prints |
 //! |---|---|---|
@@ -12,6 +13,9 @@
 //! | `fig8` | Figure 8 | sampling-factor trajectories under 5 processing costs |
 //! | `fig9` | Figure 9 | sampling-factor trajectories under 5 generation rates |
 //! | `ablation` | — (DESIGN.md §5) | adaptation design-choice sweeps |
+//! | `midrun` | — (extension) | re-adaptation when the generation rate changes mid-run |
+//! | `hetero` | — (extension) | sampling factor settled on nodes of different speed |
+//! | `abtest` | — (extension) | paper vs AIMD vs PID adaptation policy on the fig8 scenario |
 //!
 //! Every run uses the deterministic virtual-time engine, so the numbers
 //! are identical across machines and invocations.

@@ -630,7 +630,7 @@ impl DistWorker {
                     cursors: cursor_probe(remote_in, &in_edge_reg),
                 }),
                 restore: None,
-                hub: Some(Arc::clone(&hub)),
+                hub: Arc::clone(&hub),
                 upstream_keys,
             };
             handles.push(pool.spawn(Box::new(StageTask::new(worker)), i as u32));
@@ -1054,7 +1054,7 @@ impl DistWorker {
                                     ),
                                 }),
                                 restore: ckpt.map(|(_, state)| state.clone()),
-                                hub: Some(Arc::clone(&hub)),
+                                hub: Arc::clone(&hub),
                                 // An adopted stage's producers re-dial
                                 // over TCP; packets land via `InEdge`,
                                 // which wakes this stage itself. There

@@ -1,10 +1,9 @@
 //! Work-stealing multi-core stage executor.
 //!
-//! Wall-clock runtimes used to burn one OS thread per stage, so a
-//! 4-stage pipeline could not use a 32-core box and a worker hosting
-//! hundreds of stage replicas drowned in threads. This module replaces
-//! that with run-to-yield **activations** scheduled onto a fixed
-//! [`CorePool`]:
+//! The wall-clock runtimes run every stage as a run-to-yield
+//! **activation** scheduled onto a fixed [`CorePool`], so a 4-stage
+//! pipeline can use a 32-core box and a worker hosting hundreds of stage
+//! replicas needs no thread per replica:
 //!
 //! * each pool worker (`gates-exec-N`) owns a FIFO run queue plus a LIFO
 //!   wake slot; idle workers steal from the back of their peers' queues;

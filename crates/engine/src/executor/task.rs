@@ -174,8 +174,8 @@ impl Task {
     }
 }
 
-/// Owner-side handle for one spawned activation, mirroring the
-/// `JoinHandle` the thread-per-stage runtimes used.
+/// Owner-side handle for one spawned activation, shaped like a thread's
+/// `JoinHandle`.
 pub(crate) struct TaskHandle {
     report_rx: Receiver<Result<StageReport, String>>,
     done: Arc<AtomicBool>,

@@ -13,11 +13,12 @@
 //!   store-and-forward models with bounded send buffers (backpressure).
 //!   Every experiment in the repository runs here: a 250-virtual-second
 //!   run finishes in milliseconds and is bit-for-bit repeatable.
-//! * [`ThreadedEngine`] — a native-thread **wall-clock** runtime: one
-//!   thread per stage, bounded `crossbeam` channels as queues, and
-//!   token-bucket throttles as links. It demonstrates that the same
-//!   processors and the same adaptation algorithm run unchanged on real
-//!   threads; the quickstart example uses it.
+//! * [`ThreadedEngine`] — a native-thread **wall-clock** runtime: stages
+//!   scheduled onto a work-stealing core pool, bounded `crossbeam`
+//!   channels as queues, and token-bucket throttles as links. It
+//!   demonstrates that the same processors and the same adaptation
+//!   algorithm run unchanged on real threads; the quickstart example
+//!   uses it.
 //! * [`DistEngine`] — a **multi-process** runtime reproducing the paper's
 //!   actual deployment shape: a coordinator process (Launcher/Deployer)
 //!   assigns stages to `gates-cli worker` processes and remote edges

@@ -34,10 +34,6 @@ pub struct RunOptions {
     /// occupy a worker; pure waits park on the timer wheel). `0` means
     /// auto: the machine's available parallelism.
     pub cores: usize,
-    /// Run wall-clock stages one-OS-thread-per-stage instead of on the
-    /// executor pool. Baseline mode for A/B measurements; the state
-    /// machine and accounting are identical, only the scheduler differs.
-    pub thread_per_stage: bool,
     /// Observed-time source for the wall-clock runtimes (see
     /// [`crate::clock::EngineClock`]): trace timestamps, trajectories,
     /// `StageApi::now`, and report times read from it. `None` means real
@@ -57,7 +53,6 @@ impl std::fmt::Debug for RunOptions {
             .field("recorder_enabled", &self.recorder.enabled())
             .field("chaos", &self.chaos)
             .field("cores", &self.cores)
-            .field("thread_per_stage", &self.thread_per_stage)
             .field("clock_overridden", &self.clock.is_some())
             .finish()
     }
@@ -74,7 +69,6 @@ impl PartialEq for RunOptions {
             && self.max_time == other.max_time
             && self.chaos == other.chaos
             && self.cores == other.cores
-            && self.thread_per_stage == other.thread_per_stage
     }
 }
 
@@ -88,7 +82,6 @@ impl Default for RunOptions {
             recorder: Arc::new(NullRecorder),
             chaos: None,
             cores: 0,
-            thread_per_stage: false,
             clock: None,
         }
     }
@@ -151,13 +144,6 @@ impl RunOptions {
     /// runtimes; `0` selects the machine's available parallelism.
     pub fn cores(mut self, n: usize) -> Self {
         self.cores = n;
-        self
-    }
-
-    /// Builder: run wall-clock stages one-OS-thread-per-stage (the
-    /// pre-executor baseline) instead of on the pool.
-    pub fn thread_per_stage(mut self, yes: bool) -> Self {
-        self.thread_per_stage = yes;
         self
     }
 

@@ -5,13 +5,10 @@
 //! ([`crate::executor::Activation`]) used by both wall-clock runtimes:
 //! the single-process [`crate::ThreadedEngine`] and the multi-process
 //! [`crate::DistEngine`] schedule every stage onto a
-//! [`crate::executor::CorePool`], while [`StageWorker::run`] drives the
-//! same state machine synchronously on a dedicated thread (the
-//! thread-per-stage baseline selected by
-//! [`crate::RunOptions::thread_per_stage`]). The stage is
-//! transport-agnostic: it consumes `crossbeam` channels and writes into
-//! [`OutPort`]s, and it is the runtime's job to wire those endpoints to
-//! an in-process peer or to a socket bridge thread.
+//! [`crate::executor::CorePool`]. The stage is transport-agnostic: it
+//! consumes `crossbeam` channels and writes into [`OutPort`]s, and it is
+//! the runtime's job to wire those endpoints to an in-process peer or to
+//! a socket bridge thread.
 //!
 //! The state machine yields at every former blocking point — queue
 //! receive, modeled service time, token-bucket pacing, blocking send,
@@ -287,7 +284,7 @@ const SHARD_COOLDOWN: Duration = Duration::from_millis(500);
 /// Per-stage wiring for one wall-clock run: the
 /// [`gates_core::StreamProcessor`], its channels and out-edges, and the
 /// §4 observation/adaptation configuration. Drive it with
-/// [`StageTask`] on a pool or synchronously with [`StageWorker::run`].
+/// [`StageTask`] on a pool.
 pub(crate) struct StageWorker {
     pub(crate) name: String,
     pub(crate) placed_on: String,
@@ -324,43 +321,17 @@ pub(crate) struct StageWorker {
     /// State bytes to restore into the processor right after `on_start`
     /// (a stage adopted during failover resumes from its last checkpoint).
     pub(crate) restore: Option<Vec<u8>>,
-    /// Wake hub of the pool hosting this run's stages (None when running
-    /// thread-per-stage, where blocked peers poll instead).
-    pub(crate) hub: Option<Arc<WakeHub>>,
+    /// Wake hub of the pool hosting this run's stages.
+    pub(crate) hub: Arc<WakeHub>,
     /// Executor keys of upstream stages on the same pool: after draining
     /// input this stage wakes them so senders blocked on its full queue
     /// retry immediately.
     pub(crate) upstream_keys: Vec<u32>,
 }
 
-impl StageWorker {
-    /// Synchronous driver: run the state machine to completion on the
-    /// current thread, realizing parks as plain sleeps. This *is* the
-    /// old thread-per-stage semantics and serves as the measurement
-    /// baseline for the executor.
-    pub(crate) fn run(self) -> StageReport {
-        let mut task = StageTask::new(self);
-        loop {
-            match task.advance() {
-                Step::Yield => {}
-                Step::Park { until } | Step::Wait { until } => {
-                    let now = Instant::now();
-                    if until > now {
-                        std::thread::sleep(until - now);
-                    }
-                }
-                Step::Done => return task.into_report(),
-            }
-        }
-    }
-}
-
 /// How many queued zero-service packets one activation may process
 /// before yielding, so co-scheduled stages stay responsive.
 const RECV_BATCH: usize = 64;
-/// Retry cadence of a blocking send into a full queue for a stage on a
-/// thread of its own. On a pool the consumer's wake ends the wait.
-const BLOCKED_POLL: Duration = Duration::from_millis(1);
 
 /// One packet (or EOS marker) waiting in the stage's outbox.
 struct Emit {
@@ -1001,10 +972,10 @@ impl StageTask {
             }
             if port.blocking || e.final_marker {
                 // Windowed semantics: wait for the receiver to make room.
-                // On a pool the consumer wakes us once it has: a local
-                // stage after draining its queue, a bridge's sender after
-                // taking from it. Note the block on a bridge *before*
-                // retrying, so the sender's next take cannot miss it.
+                // The consumer wakes us once it has: a local stage after
+                // draining its queue, a bridge's sender after taking from
+                // it. Note the block on a bridge *before* retrying, so the
+                // sender's next take cannot miss it.
                 let sent = match (port.tx.try_send(e.packet.into()), &port.remote_wake) {
                     (Err(TrySendError::Full(queued)), Some(w)) => {
                         w.note_blocked();
@@ -1022,12 +993,7 @@ impl StageTask {
                             ready_at: e.ready_at,
                             final_marker: e.final_marker,
                         });
-                        // Without a wake hub (thread-per-stage) nothing
-                        // tells the stage the consumer made room: poll.
-                        return Some(match self.w.hub {
-                            Some(_) => self.wait(),
-                            None => self.park(Instant::now() + BLOCKED_POLL),
-                        });
+                        return Some(self.wait());
                     }
                     // Receiver gone: the packet has nowhere to go.
                     Err(TrySendError::Disconnected(_)) => {}
@@ -1046,8 +1012,8 @@ impl StageTask {
     /// Nudge the consumer behind out-edge `port`: a pool-local stage via
     /// the wake hub, or a reactor-driven remote sender via its ping.
     fn wake_port(&self, port: usize) {
-        if let (Some(hub), Some(key)) = (&self.w.hub, self.w.out[port].wake_key) {
-            hub.wake(key);
+        if let Some(key) = self.w.out[port].wake_key {
+            self.w.hub.wake(key);
         }
         if let Some(w) = &self.w.out[port].remote_wake {
             ping_sender(w);
@@ -1060,10 +1026,8 @@ impl StageTask {
         if !consumed {
             return;
         }
-        if let Some(hub) = &self.w.hub {
-            for &key in &self.w.upstream_keys {
-                hub.wake(key);
-            }
+        for &key in &self.w.upstream_keys {
+            self.w.hub.wake(key);
         }
     }
 

@@ -8,8 +8,7 @@
 //! one pool worker — one modeled core), so small runs behave like the
 //! paper's real deployment — and the same [`StreamProcessor`]s and the
 //! same adaptation state machines run unchanged from the virtual-time
-//! engine. [`RunOptions::thread_per_stage`] selects the pre-executor
-//! one-OS-thread-per-stage scheduler as an A/B baseline.
+//! engine.
 //!
 //! The per-stage state machine itself lives in [`crate::runtime`] and is
 //! shared with the multi-process [`crate::DistEngine`]; this module only
@@ -113,17 +112,10 @@ impl ThreadedEngine {
             drops.push(Arc::new(AtomicU64::new(0)));
         }
 
-        // The executor pool hosting every stage (unless the caller asked
-        // for the thread-per-stage baseline scheduler).
-        let pool = if self.opts.thread_per_stage {
-            None
-        } else {
-            Some(CorePool::new(self.opts.effective_cores()))
-        };
-        let hub = pool.as_ref().map(|p| p.hub());
+        let pool = CorePool::new(self.opts.effective_cores());
+        let hub = pool.hub();
 
         let mut task_handles = Vec::new();
-        let mut thread_handles = Vec::new();
         for idx in 0..n {
             let stage = &self.topology.stages()[idx];
             let id = StageId::from_index(idx);
@@ -190,20 +182,10 @@ impl ThreadedEngine {
                 bucket_waited: 0.0,
                 checkpoint: None,
                 restore: None,
-                hub: hub.clone(),
+                hub: Arc::clone(&hub),
                 upstream_keys,
             };
-            match &pool {
-                Some(pool) => {
-                    task_handles.push(pool.spawn(Box::new(StageTask::new(worker)), idx as u32));
-                }
-                None => thread_handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("gates-{}", stage.name))
-                        .spawn(move || worker.run())
-                        .map_err(|e| EngineError::WorkerPanic(e.to_string()))?,
-                ),
-            }
+            task_handles.push(pool.spawn(Box::new(StageTask::new(worker)), idx as u32));
         }
         // Drop our clones so channels disconnect naturally when their
         // workers finish. Keeping a receiver clone here would be a
@@ -240,15 +222,10 @@ impl ThreadedEngine {
         for handle in task_handles {
             results.push(handle.join());
         }
-        for handle in thread_handles {
-            results.push(handle.join().map_err(|_| "stage thread panicked".to_string()));
-        }
         drop(done_tx); // disconnect wakes the watchdog without stopping anything
         let _ = watchdog.join();
-        let events = pool.as_ref().map(|p| p.activations()).unwrap_or(0);
-        if let Some(pool) = pool {
-            pool.shutdown();
-        }
+        let events = pool.activations();
+        pool.shutdown();
 
         let mut stages = Vec::with_capacity(n);
         for result in results {
@@ -259,8 +236,6 @@ impl ThreadedEngine {
         Ok(RunReport {
             finished_at,
             stages,
-            // Executor activations (0 in thread-per-stage mode, which
-            // has no scheduler to count).
             events,
             lost_workers: Vec::new(),
             trace: self.opts.recorder.as_flight().map(|f| f.run_trace()),

@@ -43,7 +43,7 @@ impl std::error::Error for PlacementError {}
 ///    resources close to the source … can be used for initial processing"
 ///    is a preference, not a hard constraint.
 ///
-/// The same-group criterion is replica anti-affinity: members of one
+/// The same-group ordering is replica anti-affinity: members of one
 /// [`gates_core::ReplicaGroup`] spread across distinct nodes whenever
 /// capacity allows, so a sharded stage actually gains parallel hardware
 /// (and a node failure strands at most one replica's key range).

@@ -172,7 +172,8 @@ fn loopback_demo_matches_des() {
 /// notice, reassign the collector to a survivor via the matchmaker, ship
 /// its last checkpoint there, and the neighbors must re-dial the adopted
 /// stage so the run completes — with the loss named in the final report
-/// rather than silently absorbed.
+/// rather than silently absorbed, and not one packet lost or consumed
+/// twice across the failover.
 #[test]
 fn killed_worker_reconnects_with_backoff_then_drains() {
     // A 4-second stream so the kill lands mid-run.
@@ -244,6 +245,11 @@ fn killed_worker_reconnects_with_backoff_then_drains() {
         "final report must name the killed worker; output:\n{stdout}"
     );
 
+    // ...yet nothing is lost: the frames unacked at the kill replay to
+    // the adopted collector...
+    let (lost, _replayed, _deduped, _stalled) = delivery_counts(&stdout);
+    assert_eq!(lost, 0, "at-least-once delivery must repair a SIGKILL; output:\n{stdout}");
+
     // ...and every recovery step left a flight-recorder event.
     let trace_text = std::fs::read_to_string(&trace).expect("trace written");
     assert!(
@@ -265,6 +271,31 @@ fn killed_worker_reconnects_with_backoff_then_drains() {
     assert!(
         trace_text.contains("resumed from checkpoint"),
         "the adopted collector must start from shipped checkpoint state; trace:\n{trace_text}"
+    );
+    assert!(
+        trace_text.contains("\"kind\":\"resumed\""),
+        "data must flow into the adopted collector again; trace:\n{trace_text}"
+    );
+
+    // Exact conservation across the failover. The adopted collector
+    // counts only what it consumed after the checkpoint it restored, so
+    // the checkpoint's packet count plus that must equal what the
+    // summarizers emitted: a replayed packet consumed twice, or one
+    // never replayed, breaks the sum.
+    let restored_at: u64 = trace_text
+        .split("resumed from checkpoint seq ")
+        .nth(1)
+        .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no checkpoint seq in the restored event; trace:\n{trace_text}"));
+    let (_, out0) = stage_pkts(&stdout, "summarizer-0");
+    let (_, out1) = stage_pkts(&stdout, "summarizer-1");
+    let (after_restore, _) = stage_pkts(&stdout, "collector");
+    assert_eq!(
+        restored_at + after_restore,
+        out0 + out1,
+        "summarizers emitted {out0}+{out1} packets; the collector checkpointed {restored_at} and \
+         consumed {after_restore} after its restore;\noutput:\n{stdout}"
     );
 }
 
@@ -434,6 +465,10 @@ fn chaos_corrupted_frames_do_not_poison_the_run() {
         trace_text.contains("\"kind\":\"crc_drop\""),
         "receivers must skip corrupted frames; trace:\n{trace_text}"
     );
+    // ...and replay repairs every frame the CRC check threw away.
+    let (lost, _replayed, _deduped, _stalled) = delivery_counts(&stdout);
+    assert_eq!(lost, 0, "corrupted frames must be replayed; output:\n{stdout}");
+    assert_conservation(&stdout, "corrupt=0.1");
 }
 
 /// The kill drill under chaos: SIGKILL the collector's worker while the
@@ -619,6 +654,42 @@ fn chaos_drops_are_replayed_to_zero_loss() {
     assert_eq!(lost, 0, "drop=0.02 must be fully repaired by replay; output:\n{stdout}");
     assert!(replayed > 0, "repairing drops must replay frames; output:\n{stdout}");
     assert_conservation(&stdout, "drop=0.02,dup=0.01");
+}
+
+/// Worker `wc` (the collector's host) is cut off from every peer for
+/// 800 ms mid-run. Once the partition heals, the senders reconnect and
+/// replay what it missed: zero loss, exact conservation.
+#[test]
+fn chaos_partition_heals_to_zero_loss() {
+    let cfg = write_chaos_config("gates_dist_chaos_partition");
+    let spec = Some("seed=7,partition=wc@1s+800ms");
+    let (stdout, trace_text) = run_dist_with_chaos(&cfg, spec, "partition");
+
+    assert!(
+        trace_text.contains("\"kind\":\"fault_injected\""),
+        "the partition must fire mid-run; trace:\n{trace_text}"
+    );
+    let (lost, _replayed, _deduped, _stalled) = delivery_counts(&stdout);
+    assert_eq!(lost, 0, "a healed partition must lose nothing; output:\n{stdout}");
+    assert_conservation(&stdout, "partition=wc@1s+800ms");
+}
+
+/// Every fault kind at once on the data plane: drops, bit flips,
+/// delays, duplicates and connection resets. The run must still drain
+/// to zero loss and exact conservation.
+#[test]
+fn chaos_mixed_faults_drain_clean() {
+    let cfg = write_chaos_config("gates_dist_chaos_mixed");
+    let spec = Some("seed=7,drop=0.02,corrupt=0.005,delay=5ms..40ms,dup=0.01,reset=0.002");
+    let (stdout, trace_text) = run_dist_with_chaos(&cfg, spec, "mixed");
+
+    assert!(
+        trace_text.contains("\"kind\":\"fault_injected\""),
+        "mixed regime must inject faults; trace:\n{trace_text}"
+    );
+    let (lost, _replayed, _deduped, _stalled) = delivery_counts(&stdout);
+    assert_eq!(lost, 0, "mixed faults must be fully repaired; output:\n{stdout}");
+    assert_conservation(&stdout, "drop,corrupt,delay,dup,reset");
 }
 
 /// The drop+dup drill again, with every worker on one executor thread
