@@ -5,8 +5,10 @@
 //! — that cannot be faked without also faking the OS scheduler. What
 //! *can* be virtualized is the time the run **observes**: the `t` values
 //! stamped on flight-recorder events and parameter trajectories, the
-//! clock exposed to processors via `StageApi::now`, and the report's
-//! `finished_at`. Routing those reads through [`EngineClock`] lets a
+//! clock exposed to processors via `StageApi::now`, a replica's shard
+//! cooldown, and the report's `finished_at`. Every time a stage's core
+//! sees is read here, at microsecond resolution (`SimTime`). Routing
+//! those reads through [`EngineClock`] lets a
 //! replayed run re-stamp its observations from a recording, so two runs
 //! of the same recipe produce comparable traces even though their real
 //! schedulers interleaved differently.

@@ -2,19 +2,15 @@
 
 mod stage_actor;
 
-use gates_core::adapt::LoadTracker;
 use gates_core::report::RunReport;
 use gates_core::trace::{RunMeta, TraceEvent};
 use gates_core::{StageId, Topology};
 use gates_grid::DeploymentPlan;
-use gates_net::LinkModel;
 use gates_sim::{SimDuration, SimTime, Simulation};
-
-use std::sync::Arc;
 
 use crate::options::RunOptions;
 use crate::EngineError;
-use stage_actor::{EngineMsg, OutSpec, ShardSpec, StageActor};
+use stage_actor::{EngineMsg, StageActor};
 
 /// Runs a deployed topology in virtual time.
 ///
@@ -73,67 +69,9 @@ impl DesEngine {
         let stage_count = topology.stages().len();
         let mut placements = Vec::with_capacity(stage_count);
 
-        for (idx, stage) in topology.stages().iter().enumerate() {
-            let id = StageId::from_index(idx);
-            let out: Vec<OutSpec> = topology
-                .out_edges(id)
-                .into_iter()
-                .map(|ei| {
-                    let edge = &topology.edges()[ei];
-                    // Windowed edges get an equal share of the receiver's
-                    // queue so fan-in senders cannot jointly overrun it.
-                    let window = match edge.link.flow {
-                        gates_net::FlowControl::Lossy => None,
-                        gates_net::FlowControl::Blocking => {
-                            let in_degree = topology.in_edges(edge.to).len().max(1);
-                            let capacity = topology.stages()[edge.to.index()].queue_capacity;
-                            Some((capacity / in_degree).max(1))
-                        }
-                    };
-                    let to = &topology.stages()[edge.to.index()];
-                    OutSpec {
-                        to: edge.to.index(),
-                        link: LinkModel::new(edge.link.clone()),
-                        buffer: edge.link.buffer_packets,
-                        window,
-                        edge_index: ei,
-                        to_stage: to.name.clone(),
-                        to_node: plan.node_of(edge.to).unwrap_or(&to.site).to_string(),
-                    }
-                })
-                .collect();
-            let upstream: Vec<usize> = topology
-                .in_edges(id)
-                .into_iter()
-                .map(|ei| topology.edges()[ei].from.index())
-                .collect();
-            let in_edge_count = upstream.len();
-            let tracker = stage.adaptation.clone().map(LoadTracker::new);
-            let placed_on = plan.node_of(id).unwrap_or(&stage.site).to_string();
-            placements.push((stage.name.clone(), placed_on.clone()));
-            // Logical routes collapse a replicated consumer's consecutive
-            // ports into one key-hashed route; replicas themselves get
-            // their group's shared router for local shard scaling.
-            let routes = topology.out_routes(id);
-            let shard = topology.replica_of(id).map(|(gi, ordinal)| ShardSpec {
-                router: Arc::clone(&topology.groups()[gi].router),
-                ordinal: ordinal as u32,
-            });
-            let actor = StageActor::new(
-                stage.name.clone(),
-                placed_on,
-                stage.instantiate(),
-                stage.cost,
-                plan.speed_of(id),
-                stage.queue_capacity,
-                out,
-                routes,
-                shard,
-                upstream,
-                in_edge_count,
-                tracker,
-                opts.clone(),
-            );
+        for idx in 0..stage_count {
+            let actor = StageActor::new(&topology, plan, StageId::from_index(idx), opts.clone());
+            placements.push((actor.core.name().to_string(), actor.core.placed_on().to_string()));
             let actor_id = sim.add_actor(actor);
             debug_assert_eq!(actor_id, idx, "actor ids mirror stage ids");
         }

@@ -1,18 +1,26 @@
 //! The actor wrapping one stage instance in the virtual-time engine.
+//!
+//! The actor is the virtual-time driver of a [`StageCore`]: it owns the
+//! input queue, the simulated links with their send buffers, windowed
+//! flow control and fault plane, and the timers that decide *when* the
+//! core observes its queue, adapts, generates and finishes service. The
+//! core owns the processor, service time, the §4 observe/adapt round,
+//! the counters, routing and the shard debounce; the actor hands it the
+//! simulation clock.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use gates_core::adapt::{LoadException, LoadTracker, ParamController};
-use gates_core::report::{ParamTrajectory, StageReport};
-use gates_core::trace::{AdaptRound, LinkEvent, LinkEventKind, StageSample, TraceEvent};
-use gates_core::{
-    CostModel, OutRoute, Packet, ParamId, ShardRouter, SourceStatus, StageApi, StreamProcessor,
-};
-use gates_net::{FaultFate, FaultInjector, LinkModel};
+use gates_core::adapt::LoadException;
+use gates_core::report::StageReport;
+use gates_core::trace::{LinkEvent, LinkEventKind, Recorder, TraceEvent};
+use gates_core::{Packet, SourceStatus, StageId, Topology};
+use gates_grid::DeploymentPlan;
+use gates_net::{FaultFate, FaultInjector, FlowControl, LinkModel, PartitionSpec};
 use gates_sim::{Actor, ActorId, Context, Event, SimDuration, SimTime};
 
 use crate::options::RunOptions;
+use crate::stage_core::{ShardScaling, StageCore};
 
 /// Messages exchanged between stage actors.
 #[derive(Debug, Clone)]
@@ -26,12 +34,6 @@ pub(crate) enum EngineMsg {
     Ack,
 }
 
-/// Consecutive same-direction load exceptions before a replica fires a
-/// shard action (mirrors the wall-clock runtime's debounce).
-const SHARD_STREAK: u32 = 3;
-/// Virtual-time settle window between shard actions.
-const SHARD_COOLDOWN: SimDuration = SimDuration::from_millis(500);
-
 /// Timer tags.
 const TAG_SERVICE_DONE: u64 = 0;
 const TAG_OBSERVE: u64 = 1;
@@ -40,52 +42,12 @@ const TAG_GENERATE: u64 = 3;
 /// Credit timers are `TAG_CREDIT_BASE + out-edge slot`.
 const TAG_CREDIT_BASE: u64 = 4;
 
-/// Static description of one out edge, built by the engine from the
-/// topology and deployment plan.
-pub(crate) struct OutSpec {
-    /// Destination actor (mirrors the stage id).
-    pub(crate) to: ActorId,
-    /// Transit model for the edge.
-    pub(crate) link: LinkModel,
-    /// Sender-side buffer, in packets.
-    pub(crate) buffer: usize,
-    /// Flow-control window (`None` = lossy edge).
-    pub(crate) window: Option<usize>,
-    /// Topology edge index — the fault plane's stable link id.
-    pub(crate) edge_index: usize,
-    /// Destination stage name (trace labels).
-    pub(crate) to_stage: String,
-    /// Node the destination stage is placed on (partition matching).
-    pub(crate) to_node: String,
-}
-
-/// Replica-group identity handed to a stage actor by the engine: the
-/// group's shared key router plus this member's ordinal. Scaling is
-/// always local in virtual time — every actor holds the same `Arc`, so
-/// a split or merge re-routes upstream senders on their next packet.
-pub(crate) struct ShardSpec {
-    /// The replica group's shared key-range router.
-    pub(crate) router: Arc<ShardRouter>,
-    /// This member's position within the group.
-    pub(crate) ordinal: u32,
-}
-
-/// Live shard-scaling state for one replica actor.
-struct ShardState {
-    router: Arc<ShardRouter>,
-    ordinal: u32,
-    /// Consecutive (overload, underload) exception counts.
-    streak: (u32, u32),
-    /// No shard action before this virtual instant.
-    cooldown_until: SimTime,
-}
-
 /// One outbound connection: the link model plus send-buffer accounting.
-pub(crate) struct OutLink {
+struct OutLink {
     to: ActorId,
     link: LinkModel,
-    /// Destination stage name, for `"<from>-><to>"` trace labels.
-    to_stage: String,
+    /// `"<from>-><to>"`, the edge's trace label.
+    label: String,
     /// Node the destination stage runs on, for partition matching.
     to_node: String,
     /// Seeded per-edge fault decider (`None` when no chaos plan is set).
@@ -109,249 +71,21 @@ impl OutLink {
     }
 }
 
-/// The per-stage actor.
-pub(crate) struct StageActor {
-    pub(crate) name: String,
-    pub(crate) placed_on: String,
-    processor: Box<dyn StreamProcessor + Send>,
-    api: StageApi,
-    cost: CostModel,
-    speed: f64,
-    queue: VecDeque<(ActorId, Packet)>,
-    queue_capacity: usize,
-    busy: bool,
-    /// Output of the packet currently in service, released when the
-    /// service timer fires (port, packet).
-    current_output: Vec<(Option<usize>, Packet)>,
+/// A stage's out edges and the fault plane acting on them, apart from
+/// the core so that the core's routing can hand packets straight to a
+/// link.
+struct Links {
     out: Vec<OutLink>,
-    /// Logical routes over `out`: `emit_to(r)` addresses route `r`, and
-    /// a route spanning a replica group hash-picks the physical port.
-    routes: Vec<OutRoute>,
-    /// Set when this stage is itself a replica-group member.
-    shard: Option<ShardState>,
-    upstream: Vec<ActorId>,
-    /// In-edges that have not yet delivered EOS.
-    eos_remaining: usize,
-    is_source: bool,
-    source_done: bool,
-    /// Last poll interval requested by a source (used as the retry delay
-    /// while the source is output-blocked).
-    last_poll: SimDuration,
-    /// EOS markers have been queued on every out link.
-    eos_enqueued: bool,
-    finished: bool,
-    finish_time: Option<SimTime>,
-    tracker: Option<LoadTracker>,
-    controllers: Vec<(ParamId, ParamController)>,
-    trajectories: Vec<ParamTrajectory>,
-    opts: RunOptions,
-    // Statistics.
-    packets_in: u64,
-    packets_out: u64,
-    records_in: u64,
-    records_out: u64,
-    bytes_in: u64,
-    bytes_out: u64,
-    drops: u64,
-    /// Frames lost, duplicated, or delayed by the fault plane on this
-    /// stage's out edges.
+    /// Node this stage runs on.
+    node: String,
+    partition: Option<PartitionSpec>,
+    recorder: Arc<dyn Recorder>,
+    /// Frames lost, duplicated, or delayed by the fault plane.
     faults_injected: u64,
-    busy_time: SimDuration,
-    exceptions_sent: (u64, u64),
-    latency: gates_sim::stats::Welford,
-    /// Packets taken into service (for realized service time).
-    serviced: u64,
-    /// Counters at the previous flight-recorder sample:
-    /// `(t, packets_in, serviced, busy_time)`.
-    last_sample: (f64, u64, u64, SimDuration),
 }
 
-impl StageActor {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        name: String,
-        placed_on: String,
-        processor: Box<dyn StreamProcessor + Send>,
-        cost: CostModel,
-        speed: f64,
-        queue_capacity: usize,
-        out: Vec<OutSpec>,
-        routes: Vec<OutRoute>,
-        shard: Option<ShardSpec>,
-        upstream: Vec<ActorId>,
-        in_edge_count: usize,
-        tracker: Option<LoadTracker>,
-        opts: RunOptions,
-    ) -> Self {
-        let chaos = opts.chaos.clone().filter(|p| !p.is_noop());
-        // No declared routes (plain topologies): each out edge is its own
-        // singleton route, which reproduces the pre-sharding semantics.
-        let routes = if routes.is_empty() {
-            (0..out.len()).map(|i| OutRoute { start: i, len: 1, router: None }).collect()
-        } else {
-            routes
-        };
-        StageActor {
-            name,
-            placed_on,
-            processor,
-            api: StageApi::new(),
-            cost,
-            speed,
-            queue: VecDeque::new(),
-            queue_capacity,
-            busy: false,
-            current_output: Vec::new(),
-            out: out
-                .into_iter()
-                .map(|spec| OutLink {
-                    to: spec.to,
-                    link: spec.link,
-                    to_stage: spec.to_stage,
-                    to_node: spec.to_node,
-                    injector: chaos.as_ref().map(|p| p.injector_for_link(spec.edge_index as u64)),
-                    in_flight: 0,
-                    buffer: spec.buffer.max(1),
-                    pending: VecDeque::new(),
-                    window: spec.window.map(|w| w.max(1)),
-                    unacked: 0,
-                })
-                .collect(),
-            routes,
-            shard: shard.map(|s| ShardState {
-                router: s.router,
-                ordinal: s.ordinal,
-                streak: (0, 0),
-                cooldown_until: SimTime::ZERO,
-            }),
-            upstream,
-            eos_remaining: in_edge_count,
-            is_source: in_edge_count == 0,
-            source_done: false,
-            last_poll: SimDuration::from_millis(1),
-            eos_enqueued: false,
-            finished: false,
-            finish_time: None,
-            tracker,
-            controllers: Vec::new(),
-            trajectories: Vec::new(),
-            opts,
-            packets_in: 0,
-            packets_out: 0,
-            records_in: 0,
-            records_out: 0,
-            bytes_in: 0,
-            bytes_out: 0,
-            drops: 0,
-            faults_injected: 0,
-            busy_time: SimDuration::ZERO,
-            exceptions_sent: (0, 0),
-            latency: gates_sim::stats::Welford::new(),
-            serviced: 0,
-            last_sample: (0.0, 0, 0, SimDuration::ZERO),
-        }
-    }
-
-    /// True once this stage will take no further part in the run.
-    pub(crate) fn finished(&self) -> bool {
-        self.finished
-    }
-
-    pub(crate) fn finish_time(&self) -> Option<SimTime> {
-        self.finish_time
-    }
-
-    /// Faults the chaos plan injected on this stage's out edges.
-    pub(crate) fn faults_injected(&self) -> u64 {
-        self.faults_injected
-    }
-
-    /// Snapshot statistics into a report.
-    pub(crate) fn report(&self) -> StageReport {
-        StageReport {
-            name: self.name.clone(),
-            placed_on: self.placed_on.clone(),
-            packets_in: self.packets_in,
-            packets_out: self.packets_out,
-            records_in: self.records_in,
-            records_out: self.records_out,
-            bytes_in: self.bytes_in,
-            bytes_out: self.bytes_out,
-            packets_dropped: self.drops,
-            queue: self.tracker.as_ref().map(|t| t.queue_stats().clone()).unwrap_or_default(),
-            latency: self.latency.clone(),
-            busy_time: self.busy_time,
-            exceptions_sent: self.exceptions_sent,
-            exceptions_received: self.controllers.iter().fold((0, 0), |acc, (_, c)| {
-                let (o, u) = c.exceptions_received();
-                (acc.0 + o, acc.1 + u)
-            }),
-            params: self.trajectories.clone(),
-        }
-    }
-
-    // --- internals -------------------------------------------------------
-
-    fn route_emitted(&mut self, ctx: &mut Context<'_, EngineMsg>) {
-        let emitted = self.api.take_emitted();
-        for (port, packet) in emitted {
-            self.send_downstream(port, packet, ctx);
-        }
-    }
-
-    fn send_downstream(
-        &mut self,
-        port: Option<usize>,
-        packet: Packet,
-        ctx: &mut Context<'_, EngineMsg>,
-    ) {
-        if self.out.is_empty() {
-            return; // sink: output vanishes (results live in the processor)
-        }
-        if let Some(r) = port {
-            // Routed emission: exactly one logical route, which resolves
-            // to one physical edge (key-hashed when the consumer is a
-            // replica group).
-            debug_assert!(
-                r < self.routes.len(),
-                "stage {:?}: emit_to({r}) out of range",
-                self.name
-            );
-            if r >= self.routes.len() {
-                return;
-            }
-            self.packets_out += 1;
-            self.records_out += packet.records as u64;
-            self.bytes_out += packet.payload.len() as u64;
-            let p = self.route_port(r, &packet);
-            self.enqueue_link(p, packet, ctx);
-            return;
-        }
-        self.packets_out += 1;
-        self.records_out += packet.records as u64;
-        self.bytes_out += packet.payload.len() as u64;
-        // Broadcast: one copy per logical route — a replicated consumer
-        // receives the packet once, on the key-owning member. The payload
-        // is a cheap `Bytes` handle, so the clone copies only the packet
-        // envelope.
-        for r in 0..self.routes.len() {
-            let p = self.route_port(r, &packet);
-            self.enqueue_link(p, packet.clone(), ctx);
-        }
-    }
-
-    /// Resolve logical route `r` to the physical out-edge slot a packet
-    /// travels on: the key-owning replica for sharded routes, the single
-    /// edge otherwise.
-    fn route_port(&self, r: usize, packet: &Packet) -> usize {
-        let route = &self.routes[r];
-        match &route.router {
-            Some(router) => route.start + router.route(packet.key).min(route.len - 1),
-            None => route.start,
-        }
-    }
-
-    fn enqueue_link(&mut self, i: usize, packet: Packet, ctx: &mut Context<'_, EngineMsg>) {
+impl Links {
+    fn enqueue(&mut self, i: usize, packet: Packet, ctx: &mut Context<'_, EngineMsg>) {
         if !self.out[i].can_transmit() {
             self.out[i].pending.push_back(packet);
             return;
@@ -362,7 +96,7 @@ impl StageActor {
         // frame index, so data-frame fates match the distributed runtime's
         // per-payload sequence.
         if !packet.is_eos() {
-            if self.link_partitioned(i, ctx.now()) {
+            if self.partitioned(i, ctx.now()) {
                 self.note_fault(i, ctx.now(), "partition");
                 self.transmit(i, packet, ctx, SimDuration::ZERO, false);
                 return;
@@ -422,11 +156,11 @@ impl StageActor {
 
     /// True while the chaos plan's partition window covers virtual `now`
     /// and either endpoint of edge `i` sits on the partitioned node.
-    fn link_partitioned(&self, i: usize, now: SimTime) -> bool {
-        let Some(spec) = self.opts.chaos.as_ref().and_then(|p| p.partition.as_ref()) else {
+    fn partitioned(&self, i: usize, now: SimTime) -> bool {
+        let Some(spec) = &self.partition else {
             return false;
         };
-        if spec.node != self.placed_on && spec.node != self.out[i].to_node {
+        if spec.node != self.node && spec.node != self.out[i].to_node {
             return false;
         }
         let t = now.as_secs_f64();
@@ -437,11 +171,11 @@ impl StageActor {
     /// Count one injected fault and surface it to the flight recorder.
     fn note_fault(&mut self, i: usize, now: SimTime, what: &str) {
         self.faults_injected += 1;
-        if self.opts.recorder.enabled() {
-            self.opts.recorder.record(TraceEvent::Link(LinkEvent {
+        if self.recorder.enabled() {
+            self.recorder.record(TraceEvent::Link(LinkEvent {
                 t: now.as_secs_f64(),
-                link: format!("{}->{}", self.name, self.out[i].to_stage),
-                node: self.placed_on.clone(),
+                link: self.out[i].label.clone(),
+                node: self.node.clone(),
                 kind: LinkEventKind::FaultInjected,
                 detail: what.to_string(),
             }));
@@ -449,19 +183,139 @@ impl StageActor {
     }
 
     /// Move pending packets onto the link while buffer and window allow.
-    fn drain_link(&mut self, i: usize, ctx: &mut Context<'_, EngineMsg>) {
+    fn drain(&mut self, i: usize, ctx: &mut Context<'_, EngineMsg>) {
         while self.out[i].can_transmit() {
             let Some(p) = self.out[i].pending.pop_front() else { break };
-            self.enqueue_link(i, p, ctx);
+            self.enqueue(i, p, ctx);
         }
     }
 
-    fn output_blocked(&self) -> bool {
+    fn blocked(&self) -> bool {
         self.out.iter().any(|l| !l.pending.is_empty())
+    }
+}
+
+/// The per-stage actor.
+pub(crate) struct StageActor {
+    pub(crate) core: StageCore,
+    links: Links,
+    queue: VecDeque<(ActorId, Packet)>,
+    queue_capacity: usize,
+    busy: bool,
+    /// Output of the packet currently in service, released when the
+    /// service timer fires (route, packet).
+    current_output: Vec<(Option<usize>, Packet)>,
+    upstream: Vec<ActorId>,
+    /// In-edges that have not yet delivered EOS.
+    eos_remaining: usize,
+    is_source: bool,
+    source_done: bool,
+    /// Last poll interval requested by a source (used as the retry delay
+    /// while the source is output-blocked).
+    last_poll: SimDuration,
+    /// EOS markers have been queued on every out link.
+    eos_enqueued: bool,
+    finished: bool,
+    finish_time: Option<SimTime>,
+    opts: RunOptions,
+    /// Input packets turned away by a full queue.
+    drops: u64,
+}
+
+impl StageActor {
+    /// The actor of stage `id`, placed as `plan` says.
+    pub(crate) fn new(
+        topology: &Topology,
+        plan: &DeploymentPlan,
+        id: StageId,
+        opts: RunOptions,
+    ) -> Self {
+        let node =
+            |s: StageId| plan.node_of(s).unwrap_or(&topology.stages()[s.index()].site).to_string();
+        // Scaling is always local in virtual time: every actor holds the
+        // group's shared router, so a split or merge re-routes upstream
+        // senders on their next packet.
+        let core =
+            StageCore::new(topology, id, node(id), plan.speed_of(id), ShardScaling::Local, &opts);
+        let chaos = opts.chaos.clone().filter(|p| !p.is_noop());
+        let out = topology.out_edges(id).into_iter().map(|ei| {
+            let edge = &topology.edges()[ei];
+            // Windowed edges get an equal share of the receiver's queue
+            // so fan-in senders cannot jointly overrun it.
+            let window = (edge.link.flow == FlowControl::Blocking).then(|| {
+                let in_degree = topology.in_edges(edge.to).len().max(1);
+                (topology.stages()[edge.to.index()].queue_capacity / in_degree).max(1)
+            });
+            OutLink {
+                to: edge.to.index(),
+                link: LinkModel::new(edge.link.clone()),
+                label: format!("{}->{}", core.name(), topology.stages()[edge.to.index()].name),
+                to_node: node(edge.to),
+                injector: chaos.as_ref().map(|p| p.injector_for_link(ei as u64)),
+                in_flight: 0,
+                buffer: edge.link.buffer_packets.max(1),
+                pending: VecDeque::new(),
+                window,
+                unacked: 0,
+            }
+        });
+        let links = Links {
+            out: out.collect(),
+            node: core.placed_on().to_string(),
+            partition: opts.chaos.as_ref().and_then(|p| p.partition.clone()),
+            recorder: Arc::clone(&opts.recorder),
+            faults_injected: 0,
+        };
+        let upstream: Vec<ActorId> =
+            topology.in_edges(id).into_iter().map(|ei| topology.edges()[ei].from.index()).collect();
+        StageActor {
+            core,
+            links,
+            queue: VecDeque::new(),
+            queue_capacity: topology.stages()[id.index()].queue_capacity,
+            busy: false,
+            current_output: Vec::new(),
+            eos_remaining: upstream.len(),
+            is_source: upstream.is_empty(),
+            upstream,
+            source_done: false,
+            last_poll: SimDuration::from_millis(1),
+            eos_enqueued: false,
+            finished: false,
+            finish_time: None,
+            opts,
+            drops: 0,
+        }
+    }
+
+    /// True once this stage will take no further part in the run.
+    pub(crate) fn finished(&self) -> bool {
+        self.finished
+    }
+
+    pub(crate) fn finish_time(&self) -> Option<SimTime> {
+        self.finish_time
+    }
+
+    /// Faults the chaos plan injected on this stage's out edges.
+    pub(crate) fn faults_injected(&self) -> u64 {
+        self.links.faults_injected
+    }
+
+    /// Snapshot statistics into a report.
+    pub(crate) fn report(&self) -> StageReport {
+        self.core.report(self.drops)
+    }
+
+    // --- internals -------------------------------------------------------
+
+    fn route_emitted(&mut self, ctx: &mut Context<'_, EngineMsg>) {
+        let links = &mut self.links;
+        self.core.route_emitted(|port, packet| links.enqueue(port, packet, ctx));
     }
 
     fn try_start_service(&mut self, ctx: &mut Context<'_, EngineMsg>) {
-        if self.busy || self.finished || self.output_blocked() {
+        if self.busy || self.finished || self.links.blocked() {
             return;
         }
         let Some((from, packet)) = self.queue.pop_front() else {
@@ -470,15 +324,9 @@ impl StageActor {
         // Windowed flow control: the queue slot is free, tell the sender.
         ctx.send(from, EngineMsg::Ack, self.opts.control_latency);
         self.busy = true;
-        self.serviced += 1;
-        self.api.set_now(ctx.now());
-        let service = self.cost.service_time(&packet, self.speed);
-        self.processor.process(packet, &mut self.api);
-        let extra = self.api.take_extra_cost();
-        let extra_scaled = SimDuration::from_secs_f64(extra.as_secs_f64() / self.speed);
-        let total = service + extra_scaled;
-        self.busy_time += total;
-        self.current_output = self.api.take_emitted();
+        let total = self.core.process(packet, ctx.now());
+        self.core.add_busy(total);
+        self.current_output = self.core.take_emitted();
         ctx.set_timer(total, TAG_SERVICE_DONE);
     }
 
@@ -496,16 +344,16 @@ impl StageActor {
         }
         if !self.eos_enqueued {
             self.eos_enqueued = true;
-            for i in 0..self.out.len() {
+            for i in 0..self.links.out.len() {
                 // EOS travels the link like data so it arrives after
                 // every previously sent packet.
                 let eos = Packet::eos(u32::MAX, 0).at(ctx.now());
-                self.enqueue_link(i, eos, ctx);
+                self.links.enqueue(i, eos, ctx);
             }
         }
         // Finished once every link has drained its pending queue and all
         // in-flight serializations completed.
-        if self.out.iter().all(|l| l.pending.is_empty() && l.in_flight == 0) {
+        if self.links.out.iter().all(|l| l.pending.is_empty() && l.in_flight == 0) {
             self.finished = true;
             self.finish_time = Some(ctx.now());
         }
@@ -515,125 +363,21 @@ impl StageActor {
         if self.finished {
             return; // do not re-arm
         }
-        if let Some(tracker) = &mut self.tracker {
-            if let Some(exception) = tracker.observe(self.queue.len() as f64) {
-                match exception {
-                    LoadException::Overload => self.exceptions_sent.0 += 1,
-                    LoadException::Underload => self.exceptions_sent.1 += 1,
-                }
-                let latency = self.opts.control_latency;
-                for &up in &self.upstream {
-                    ctx.send(up, EngineMsg::Exception(exception), latency);
-                }
-                self.note_shard_signal(exception, ctx);
+        if let Some(exception) = self.core.observe(ctx.now(), self.queue.len()) {
+            for &up in &self.upstream {
+                ctx.send(up, EngineMsg::Exception(exception), self.opts.control_latency);
             }
         }
-        if self.opts.recorder.enabled() {
-            self.record_sample(ctx.now());
-        }
+        // Virtual-time links model transit, not pacing: no bucket wait.
+        self.core.sample(ctx.now(), self.queue.len(), self.drops, 0.0);
         ctx.set_timer(self.opts.observe_interval, TAG_OBSERVE);
-    }
-
-    /// Count consecutive same-direction exceptions; once the streak and
-    /// cooldown both allow it, turn the load signal into a shard action
-    /// on the group's shared router — scale-out (split) on overload,
-    /// scale-in (merge) on underload. Virtual-time twin of the threaded
-    /// runtime's `note_shard_signal`.
-    fn note_shard_signal(&mut self, exception: LoadException, ctx: &mut Context<'_, EngineMsg>) {
-        let Some(sh) = &mut self.shard else { return };
-        let split = match exception {
-            LoadException::Overload => {
-                sh.streak = (sh.streak.0 + 1, 0);
-                true
-            }
-            LoadException::Underload => {
-                sh.streak = (0, sh.streak.1 + 1);
-                false
-            }
-        };
-        let streak = if split { sh.streak.0 } else { sh.streak.1 };
-        if streak < SHARD_STREAK || ctx.now() < sh.cooldown_until {
-            return;
-        }
-        sh.streak = (0, 0);
-        sh.cooldown_until = ctx.now() + SHARD_COOLDOWN;
-        let result =
-            if split { sh.router.split_hot(sh.ordinal) } else { sh.router.merge_cold(sh.ordinal) };
-        if let Ok(change) = result {
-            if self.opts.recorder.enabled() {
-                self.opts.recorder.record(TraceEvent::Link(LinkEvent {
-                    t: ctx.now().as_secs_f64(),
-                    link: self.name.clone(),
-                    node: self.placed_on.clone(),
-                    kind: if split { LinkEventKind::ShardSplit } else { LinkEventKind::ShardMerge },
-                    detail: format!(
-                        "replica {} -> {} (epoch {})",
-                        change.from, change.to, change.epoch
-                    ),
-                }));
-            }
-        }
-    }
-
-    /// Flight recorder: one runtime sample, with rates computed against
-    /// the previous sample.
-    fn record_sample(&mut self, now: SimTime) {
-        let t = now.as_secs_f64();
-        let (t0, in0, serviced0, busy0) = self.last_sample;
-        let dt = t - t0;
-        let d_in = self.packets_in - in0;
-        let d_serviced = self.serviced - serviced0;
-        let d_busy = (self.busy_time - busy0).as_secs_f64();
-        self.last_sample = (t, self.packets_in, self.serviced, self.busy_time);
-        self.opts.recorder.record(TraceEvent::Sample(StageSample {
-            t,
-            stage: self.name.clone(),
-            queue_depth: self.queue.len(),
-            packets_in: self.packets_in,
-            packets_out: self.packets_out,
-            dropped: self.drops,
-            throughput: if dt > 0.0 { d_in as f64 / dt } else { 0.0 },
-            service_time: if d_serviced > 0 { d_busy / d_serviced as f64 } else { 0.0 },
-            bucket_wait: 0.0, // virtual-time links model transit, not pacing
-        }));
     }
 
     fn on_adapt(&mut self, ctx: &mut Context<'_, EngineMsg>) {
         if self.finished {
             return; // do not re-arm
         }
-        if let Some(tracker) = &self.tracker {
-            let d_tilde = tracker.d_tilde();
-            let t = ctx.now().as_secs_f64();
-            let record = self.opts.recorder.enabled();
-            let (phi1, phi2, phi3) = (tracker.phi1(), tracker.phi2(), tracker.phi3());
-            for (idx, (pid, controller)) in self.controllers.iter_mut().enumerate() {
-                let value = controller.adapt(d_tilde);
-                let _ = self.api.push_suggestion(*pid, value);
-                self.trajectories[idx].samples.push((t, value));
-                if record {
-                    let outcome = controller.last_outcome().unwrap_or_default();
-                    let received = controller.exceptions_received();
-                    self.opts.recorder.record(TraceEvent::Adapt(AdaptRound {
-                        t,
-                        stage: self.name.clone(),
-                        param: self.trajectories[idx].name.clone(),
-                        policy: controller.policy_name().to_string(),
-                        d_tilde,
-                        phi1,
-                        phi2,
-                        phi3,
-                        sigma1: outcome.sigma1,
-                        sigma2: outcome.sigma2,
-                        suggested: value,
-                        overload_sent: self.exceptions_sent.0,
-                        underload_sent: self.exceptions_sent.1,
-                        overload_received: received.0,
-                        underload_received: received.1,
-                    }));
-                }
-            }
-        }
+        self.core.adapt(ctx.now());
         ctx.set_timer(self.opts.adapt_interval, TAG_ADAPT);
     }
 
@@ -647,12 +391,11 @@ impl StageActor {
         // which block under TCP flow control). Sources that must model
         // non-blockable external arrivals use a large link buffer so
         // this never triggers.
-        if self.output_blocked() {
+        if self.links.blocked() {
             ctx.set_timer(self.last_poll.max(SimDuration::from_micros(100)), TAG_GENERATE);
             return;
         }
-        self.api.set_now(ctx.now());
-        let status = self.processor.poll_generate(&mut self.api);
+        let status = self.core.generate(ctx.now());
         self.route_emitted(ctx);
         match status {
             SourceStatus::Continue { next_poll } => {
@@ -676,8 +419,7 @@ impl StageActor {
             ctx.send(from, EngineMsg::Ack, self.opts.control_latency);
             self.eos_remaining = self.eos_remaining.saturating_sub(1);
             if self.eos_remaining == 0 {
-                self.api.set_now(ctx.now());
-                self.processor.on_eos(&mut self.api);
+                self.core.eos(ctx.now());
                 self.route_emitted(ctx);
                 self.maybe_finish(ctx);
             }
@@ -691,19 +433,16 @@ impl StageActor {
             self.drops += 1;
             return;
         }
-        self.packets_in += 1;
-        self.records_in += packet.records as u64;
-        self.bytes_in += packet.payload.len() as u64;
-        self.latency.push(ctx.now().since(packet.created_at).as_secs_f64());
+        self.core.arrived(&packet, ctx.now());
         self.queue.push_back((from, packet));
         self.try_start_service(ctx);
     }
 
     fn on_ack(&mut self, from: ActorId, ctx: &mut Context<'_, EngineMsg>) {
-        if let Some(i) = self.out.iter().position(|l| l.to == from) {
-            if self.out[i].window.is_some() {
-                self.out[i].unacked = self.out[i].unacked.saturating_sub(1);
-                self.drain_link(i, ctx);
+        if let Some(i) = self.links.out.iter().position(|l| l.to == from) {
+            if self.links.out[i].window.is_some() {
+                self.links.out[i].unacked = self.links.out[i].unacked.saturating_sub(1);
+                self.links.drain(i, ctx);
                 self.try_start_service(ctx);
                 self.maybe_finish(ctx);
             }
@@ -715,21 +454,7 @@ impl Actor<EngineMsg> for StageActor {
     fn on_event(&mut self, event: Event<EngineMsg>, ctx: &mut Context<'_, EngineMsg>) {
         match event {
             Event::Start => {
-                self.api.set_now(ctx.now());
-                self.processor.on_start(&mut self.api);
-                // Parameters declared in on_start get one controller each
-                // (only when this stage has adaptation enabled).
-                if let Some(tracker) = &self.tracker {
-                    let cfg = tracker.config().clone();
-                    for (pid, spec, _) in self.api.params().iter() {
-                        self.controllers
-                            .push((pid, ParamController::new(cfg.clone(), spec.clone())));
-                        self.trajectories.push(ParamTrajectory {
-                            name: spec.name.clone(),
-                            samples: vec![(0.0, spec.init)],
-                        });
-                    }
-                }
+                self.core.start(ctx.now(), None);
                 self.route_emitted(ctx);
                 if self.is_source {
                     ctx.set_timer(SimDuration::ZERO, TAG_GENERATE);
@@ -737,27 +462,25 @@ impl Actor<EngineMsg> for StageActor {
                 // The observe tick doubles as the flight recorder's
                 // sampling clock, so a recording run samples every stage
                 // even when it has no adaptation tracker.
-                if self.tracker.is_some() || self.opts.recorder.enabled() {
+                if self.core.adapts() || self.core.recording() {
                     ctx.set_timer(self.opts.observe_interval, TAG_OBSERVE);
                 }
-                if self.tracker.is_some() {
+                if self.core.adapts() {
                     ctx.set_timer(self.opts.adapt_interval, TAG_ADAPT);
                 }
             }
             Event::Message { payload: EngineMsg::Packet(p), from } => self.on_packet(from, p, ctx),
             Event::Message { payload: EngineMsg::Exception(e), .. } => {
                 if !self.finished {
-                    for (_, controller) in &mut self.controllers {
-                        controller.on_exception(e);
-                    }
+                    self.core.on_exception(e);
                 }
             }
             Event::Message { payload: EngineMsg::Ack, from } => self.on_ack(from, ctx),
             Event::Timer { tag: TAG_SERVICE_DONE } => {
                 self.busy = false;
-                let output = std::mem::take(&mut self.current_output);
-                for (port, packet) in output {
-                    self.send_downstream(port, packet, ctx);
+                for (target, packet) in std::mem::take(&mut self.current_output) {
+                    let links = &mut self.links;
+                    self.core.route(target, packet, |port, p| links.enqueue(port, p, ctx));
                 }
                 self.try_start_service(ctx);
                 self.maybe_finish(ctx);
@@ -767,9 +490,9 @@ impl Actor<EngineMsg> for StageActor {
             Event::Timer { tag: TAG_GENERATE } => self.on_generate(ctx),
             Event::Timer { tag } => {
                 let i = (tag - TAG_CREDIT_BASE) as usize;
-                if i < self.out.len() {
-                    self.out[i].in_flight = self.out[i].in_flight.saturating_sub(1);
-                    self.drain_link(i, ctx);
+                if i < self.links.out.len() {
+                    self.links.out[i].in_flight = self.links.out[i].in_flight.saturating_sub(1);
+                    self.links.drain(i, ctx);
                     self.try_start_service(ctx);
                     self.maybe_finish(ctx);
                 }

@@ -11,9 +11,9 @@
 //!   recorder attached, live trace events) when the run ends.
 //! * [`DistWorker`] — one worker process (`gates-cli worker`). Registers
 //!   with the coordinator, rebuilds the topology locally from the same
-//!   XML, runs its assigned stages on the shared
-//!   [`crate::runtime::StageWorker`] event loop, and bridges remote
-//!   edges over TCP.
+//!   XML, runs its assigned stages as the same
+//!   [`crate::runtime::StageTask`] activations as the threaded engine,
+//!   and bridges remote edges over TCP.
 //! * [`DistConfig`] — transport tuning (timeouts, reconnect policy,
 //!   drain window), chosen on the coordinator and shipped to every
 //!   worker inside the assignment.

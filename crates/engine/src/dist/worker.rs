@@ -4,8 +4,8 @@
 //! stages (the `gates-cli worker` subcommand is a thin wrapper around
 //! it). It registers with the coordinator, receives the application XML
 //! plus the full placement table, rebuilds the topology from its local
-//! application repository, and runs its stages on the shared
-//! [`StageWorker`] event loop — local edges stay in-process channels,
+//! application repository, and runs its stages as the shared
+//! [`StageTask`] activations — local edges stay in-process channels,
 //! remote edges are bridged over TCP by reactor-driven sources that the
 //! stage pool's own threads service between stage steps.
 //!
@@ -15,7 +15,8 @@
 //! dead link re-dials the new address), while rows naming *this* worker
 //! make it adopt the stage — fresh channels, fresh TCP in-edges for the
 //! neighbors to re-dial, and a [`StageWorker`] restored from the stage's
-//! last checkpoint, if any.
+//! last checkpoint, if any, whose own checkpoints count on from that
+//! checkpoint's sequence.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -28,7 +29,6 @@ use crossbeam::channel::{
     bounded, unbounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender, TryRecvError,
 };
 
-use gates_core::adapt::LoadTracker;
 use gates_core::report::StageReport;
 use gates_core::trace::{LinkEvent, LinkEventKind, NullRecorder, Recorder, TraceEvent};
 use gates_core::{Packet, ShardMap, ShardRouter, StageId, Topology};
@@ -47,9 +47,10 @@ use super::{read_ctrl, DistConfig};
 use crate::executor::{CorePool, TaskHandle, WakeHub};
 use crate::options::RunOptions;
 use crate::runtime::{
-    CheckpointCfg, Control, CursorProbe, EdgeCredit, OutPort, Queued, RemoteWake, ShardCtl,
-    ShardScaling, StageTask, StageWorker,
+    CheckpointCfg, Control, CursorProbe, EdgeCredit, OutPort, Queued, RemoteWake, StageTask,
+    StageWorker,
 };
+use crate::stage_core::{ShardScaling, StageCore};
 use crate::EngineError;
 
 /// The worker's live view of every stage's data endpoint. `Reassign`
@@ -548,7 +549,7 @@ impl DistWorker {
 
         // --- run the assigned stages ---------------------------------
         let mut handles = Vec::new();
-        for (i, stage) in topology.stages().iter().enumerate() {
+        for i in 0..n {
             if !is_mine[i] {
                 continue;
             }
@@ -604,17 +605,17 @@ impl DistWorker {
                 .map(|ei| ei as u32)
                 .collect();
             let worker = StageWorker {
-                name: stage.name.clone(),
-                placed_on: worker_of[i].clone(),
-                processor: stage.instantiate(),
-                cost: stage.cost,
-                speed: speed_of[i],
-                tracker: stage.adaptation.clone().map(LoadTracker::new),
+                core: StageCore::new(
+                    &topology,
+                    id,
+                    worker_of[i].clone(),
+                    speed_of[i],
+                    ShardScaling::Request(shard_tx.clone()),
+                    &opts,
+                ),
                 rx: data_rx[&i].clone(),
                 ctl: ctl_rx[&i].clone(),
                 out,
-                routes: topology.out_routes(id),
-                shard: shard_ctl(&topology, id, &shard_tx),
                 upstream_ctl,
                 in_edges,
                 my_drops: Arc::clone(&drops[&i]),
@@ -622,7 +623,6 @@ impl DistWorker {
                 start,
                 clock: Arc::clone(&clock),
                 stop: Arc::clone(&stop),
-                bucket_waited: 0.0,
                 checkpoint: (cfg.checkpoint_every > 0).then(|| CheckpointCfg {
                     stage: i as u32,
                     every: cfg.checkpoint_every,
@@ -1018,17 +1018,17 @@ impl DistWorker {
                                 }));
                             }
                             let worker = StageWorker {
-                                name: stage.name.clone(),
-                                placed_on: self.name.clone(),
-                                processor: stage.instantiate(),
-                                cost: stage.cost,
-                                speed: speed_of[i],
-                                tracker: stage.adaptation.clone().map(LoadTracker::new),
+                                core: StageCore::new(
+                                    &topology,
+                                    id,
+                                    self.name.clone(),
+                                    speed_of[i],
+                                    ShardScaling::Request(shard_tx.clone()),
+                                    &opts,
+                                ),
                                 rx: drx,
                                 ctl: crx,
                                 out,
-                                routes: topology.out_routes(id),
-                                shard: shard_ctl(&topology, id, &shard_tx),
                                 upstream_ctl,
                                 in_edges: topology.in_edges(id).len(),
                                 my_drops,
@@ -1036,7 +1036,6 @@ impl DistWorker {
                                 start,
                                 clock: Arc::clone(&clock),
                                 stop: Arc::clone(&stop),
-                                bucket_waited: 0.0,
                                 checkpoint: (cfg.checkpoint_every > 0).then(|| CheckpointCfg {
                                     stage: i as u32,
                                     every: cfg.checkpoint_every,
@@ -1053,7 +1052,7 @@ impl DistWorker {
                                         &in_edge_reg,
                                     ),
                                 }),
-                                restore: ckpt.map(|(_, state)| state.clone()),
+                                restore: ckpt.map(|(seq, state)| (seq, state.clone())),
                                 hub: Arc::clone(&hub),
                                 // An adopted stage's producers re-dial
                                 // over TCP; packets land via `InEdge`,
@@ -1217,22 +1216,6 @@ fn shard_guard(
     Some(InShard { router: Arc::clone(&group.router), ordinal: ordinal as u32, siblings })
 }
 
-/// Build the [`ShardCtl`] for a replica stage in the distributed
-/// runtime: scale-out signals are *requested* from the coordinator (the
-/// key-range authority) rather than applied locally.
-fn shard_ctl(
-    topology: &Topology,
-    id: StageId,
-    shard_tx: &Sender<(u32, u32, bool)>,
-) -> Option<ShardCtl> {
-    topology.replica_of(id).map(|(gi, ordinal)| ShardCtl {
-        group: gi as u32,
-        ordinal: ordinal as u32,
-        router: Arc::clone(&topology.groups()[gi].router),
-        mode: ShardScaling::Request(shard_tx.clone()),
-    })
-}
-
 /// Build the per-stage checkpoint cursor sampler: for each remote
 /// in-edge, the highest input sequence the stage has *consumed* (taken
 /// off its queue, so processed by the time the sampler runs between
@@ -1390,8 +1373,11 @@ struct RemoteSender {
 }
 
 /// Tracker for the wall-clock a sender may spend re-dialing one
-/// endpoint. The budget resets when failover moves the receiver (a new
-/// endpoint deserves a fresh chance) and exhausts at
+/// endpoint. A dial that fails and a connection that breaks before any
+/// ack gets through both count as failed attempts and push the next
+/// re-dial out by the jittered backoff. The budget resets on a
+/// successful dial and when failover moves the receiver (a new endpoint
+/// deserves a fresh chance), and exhausts at
 /// [`DistConfig::max_redial`], after which the link stays down — loudly
 /// — until failover intervenes.
 struct RedialBudget {
@@ -1584,6 +1570,8 @@ impl RemoteSender {
                     Arc::clone(&self.window),
                     self.stats.clone(),
                 );
+                let acked_before =
+                    self.window.lock().unwrap_or_else(|p| p.into_inner()).delivered();
                 let token = self.reactor.register(Box::new(conn));
                 self.notify.add(self.reactor.clone(), token);
                 self.wake.install(self.reactor.clone(), token);
@@ -1617,6 +1605,27 @@ impl RemoteSender {
                         dead = true;
                     }
                     ConnFate::Broken { carried: c } => {
+                        carried = c;
+                        let acked =
+                            self.window.lock().unwrap_or_else(|p| p.into_inner()).delivered();
+                        if acked == acked_before {
+                            // Broken before any ack got through, as when a
+                            // partitioned peer accepts and drops: count a
+                            // failed dial and wait out one backoff step,
+                            // not re-dial in a hot loop. The dial reset the
+                            // budget, so the step stays short enough to
+                            // reconnect inside the receiver's drain window.
+                            budget.attempt += 1;
+                            let delay =
+                                self.cfg.retry.jittered_delay(budget.attempt, self.jitter_seed);
+                            budget.next = Instant::now() + delay;
+                            self.reporter.record(
+                                LinkEventKind::Dead,
+                                format!("broke before any ack; re-dial in {delay:?}"),
+                            );
+                            dead = true;
+                            continue;
+                        }
                         // One bounded-backoff reconnect cycle, then the
                         // link is dead until failover moves the receiver
                         // (the receiver's drain window is the backstop).
@@ -1626,7 +1635,6 @@ impl RemoteSender {
                         // socket's half-flushed bytes. Re-read the table
                         // first: the coordinator may already have
                         // reassigned the stage elsewhere.
-                        carried = c;
                         dialed = self.placements.endpoint(self.to_stage);
                         stream = if self.partitioned.load(Ordering::Relaxed) {
                             None

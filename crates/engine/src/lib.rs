@@ -38,6 +38,7 @@ mod dist;
 mod executor;
 mod options;
 mod runtime;
+mod stage_core;
 mod threaded;
 
 pub use clock::{EngineClock, ManualClock, RealClock};

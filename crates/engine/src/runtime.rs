@@ -1,14 +1,21 @@
 //! Shared wall-clock stage plumbing.
 //!
-//! [`StageWorker`] bundles one stage's channels, links, and options;
-//! [`StageTask`] drives it as a run-to-yield state machine
-//! ([`crate::executor::Activation`]) used by both wall-clock runtimes:
-//! the single-process [`crate::ThreadedEngine`] and the multi-process
-//! [`crate::DistEngine`] schedule every stage onto a
+//! [`StageWorker`] bundles one stage's [`StageCore`] with its channels,
+//! links, and options; [`StageTask`] drives it as a run-to-yield state
+//! machine ([`crate::executor::Activation`]) used by both wall-clock
+//! runtimes: the single-process [`crate::ThreadedEngine`] and the
+//! multi-process [`crate::DistEngine`] schedule every stage onto a
 //! [`crate::executor::CorePool`]. The stage is transport-agnostic: it
 //! consumes `crossbeam` channels and writes into [`OutPort`]s, and it is
 //! the runtime's job to wire those endpoints to an in-process peer or to
 //! a socket bridge thread.
+//!
+//! The driver owns the queue, the out-ports and their pacing, the
+//! outbox, checkpoints, and the `Instant` cadence on which observe and
+//! adapt rounds fire. The core owns the processor, service time, the §4
+//! observe/adapt round, the counters, routing, and the shard debounce;
+//! the driver hands it observed time from the run's
+//! [`crate::clock::EngineClock`].
 //!
 //! The state machine yields at every former blocking point — queue
 //! receive, modeled service time, token-bucket pacing, blocking send,
@@ -27,15 +34,15 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, Sender, TryRecvError, TrySendError};
 
-use gates_core::adapt::{LoadException, LoadTracker, ParamController};
-use gates_core::report::{ParamTrajectory, StageReport};
-use gates_core::trace::{AdaptRound, LinkEvent, LinkEventKind, StageSample, TraceEvent};
-use gates_core::{OutRoute, Packet, ShardRouter, SourceStatus, StageApi};
+use gates_core::adapt::LoadException;
+use gates_core::report::StageReport;
+use gates_core::{Packet, SourceStatus};
 use gates_net::{Reactor, Token, TokenBucket};
 use gates_sim::{SimDuration, SimTime};
 
 use crate::executor::{Activation, Step, WakeHub};
 use crate::options::RunOptions;
+use crate::stage_core::StageCore;
 
 /// Per-edge input cursors `(edge, seq)`: for each remote in-edge, the
 /// highest contiguously delivered link sequence. Recorded with every
@@ -59,7 +66,7 @@ pub(crate) enum Control {
 /// Checkpoint wiring for a stage running under the distributed runtime:
 /// every `every` input packets the worker snapshots the processor
 /// ([`gates_core::StreamProcessor::snapshot`]) and sends
-/// `(stage, packets_in, state, cursors)` on `tx`, from where the
+/// `(stage, seq, state, cursors)` on `tx`, from where the
 /// hosting process relays it to the coordinator. A checkpoint with an
 /// empty state and no cursors is skipped.
 pub(crate) struct CheckpointCfg {
@@ -249,78 +256,33 @@ impl OutPort {
     }
 }
 
-/// How a replica's adaptation loop applies a shard split or merge.
-pub(crate) enum ShardScaling {
-    /// Apply directly on the shared router (single-process engines: the
-    /// upstream senders see the new map on their next `route` call).
-    Local,
-    /// Ship `(group, ordinal, split)` to the hosting worker's main loop,
-    /// which asks the coordinator; the coordinator owns the
-    /// authoritative map and broadcasts the result to every process.
-    Request(Sender<(u32, u32, bool)>),
-}
-
-/// Scale-out wiring for one replica of a sharded stage: when the
-/// stage's d̃ leaves [LT1·C, LT2·C] persistently, the replica splits
-/// (overload) or merges (underload) its key range — the adaptation
-/// action of ROADMAP item 1, alongside the paper's parameter shrink.
-pub(crate) struct ShardCtl {
-    /// Replica group index in the topology.
-    pub(crate) group: u32,
-    /// This replica's ordinal within the group.
-    pub(crate) ordinal: u32,
-    /// The group's shared router.
-    pub(crate) router: Arc<ShardRouter>,
-    /// Local application vs coordinator round-trip.
-    pub(crate) mode: ShardScaling,
-}
-
-/// Consecutive same-direction load exceptions required before a shard
-/// split/merge fires (debounces a single noisy observation).
-const SHARD_STREAK: u32 = 3;
-/// Minimum wall-clock spacing between shard actions from one replica.
-const SHARD_COOLDOWN: Duration = Duration::from_millis(500);
-
-/// Per-stage wiring for one wall-clock run: the
-/// [`gates_core::StreamProcessor`], its channels and out-edges, and the
-/// §4 observation/adaptation configuration. Drive it with
+/// Per-stage wiring for one wall-clock run: the [`StageCore`], its
+/// channels and out-edges, and the observe/adapt cadence. Drive it with
 /// [`StageTask`] on a pool.
 pub(crate) struct StageWorker {
-    pub(crate) name: String,
-    pub(crate) placed_on: String,
-    pub(crate) processor: Box<dyn gates_core::StreamProcessor + Send>,
-    pub(crate) cost: gates_core::CostModel,
-    pub(crate) speed: f64,
-    pub(crate) tracker: Option<LoadTracker>,
+    pub(crate) core: StageCore,
     pub(crate) rx: Receiver<Queued>,
     pub(crate) ctl: Receiver<Control>,
+    /// Physical out-edges, in [`gates_core::Topology::out_edges`] order:
+    /// the ports the core's routes resolve to.
     pub(crate) out: Vec<OutPort>,
-    /// Logical output routes over `out` (see
-    /// [`gates_core::Topology::out_routes`]): a sharded route spans the
-    /// consumer group's consecutive ports and picks one by packet key;
-    /// engines that leave this empty get identity singleton routes.
-    pub(crate) routes: Vec<OutRoute>,
-    /// Present when this stage is a replica of a sharded group: lets the
-    /// adaptation signal trigger live shard splits/merges.
-    pub(crate) shard: Option<ShardCtl>,
     pub(crate) upstream_ctl: Vec<Sender<Control>>,
     pub(crate) in_edges: usize,
     pub(crate) my_drops: Arc<AtomicU64>,
     pub(crate) opts: RunOptions,
     pub(crate) start: Instant,
-    /// Observed-time source (see [`crate::clock::EngineClock`]): trace
-    /// timestamps, trajectories, and `StageApi::now` read from it, while
-    /// `start` keeps driving real scheduling (pacing, retry deadlines).
+    /// Observed-time source (see [`crate::clock::EngineClock`]): every
+    /// time the core sees reads from it, while `start` keeps driving
+    /// real scheduling (pacing, retry deadlines).
     pub(crate) clock: std::sync::Arc<dyn crate::clock::EngineClock>,
     /// Engine-wide stop flag (see [`crate::ThreadedEngine::run`]).
     pub(crate) stop: Arc<AtomicBool>,
-    /// Total token-bucket wait realized by this stage, seconds.
-    pub(crate) bucket_waited: f64,
     /// Periodic state snapshots for failover (dist runtime only).
     pub(crate) checkpoint: Option<CheckpointCfg>,
-    /// State bytes to restore into the processor right after `on_start`
-    /// (a stage adopted during failover resumes from its last checkpoint).
-    pub(crate) restore: Option<Vec<u8>>,
+    /// `(seq, state)` of the checkpoint a stage adopted during failover
+    /// resumes from: the state is restored right after `on_start`, and
+    /// the stage's own checkpoints count on from `seq`.
+    pub(crate) restore: Option<(u64, Vec<u8>)>,
     /// Wake hub of the pool hosting this run's stages.
     pub(crate) hub: Arc<WakeHub>,
     /// Executor keys of upstream stages on the same pool: after draining
@@ -382,10 +344,6 @@ enum After {
 /// The run-to-yield stage state machine (see module docs).
 pub(crate) struct StageTask {
     w: StageWorker,
-    api: StageApi,
-    controllers: Vec<(gates_core::ParamId, ParamController)>,
-    trajectories: Vec<ParamTrajectory>,
-    stats: StageReport,
     is_source: bool,
     eos_remaining: usize,
     /// The run was cut short (stop flag or `Control::Stop`): skip
@@ -398,20 +356,19 @@ pub(crate) struct StageTask {
     /// Progress mark (packets in, or out for sources) at the last
     /// checkpoint, so a slow stage doesn't re-snapshot identical state.
     last_ckpt: u64,
+    /// Sequence of the checkpoint this stage was restored from: its own
+    /// checkpoints are numbered on from there, so the coordinator never
+    /// takes them for stale copies of the one it already holds.
+    ckpt_base: u64,
+    /// Total token-bucket wait realized by this stage, seconds.
+    bucket_waited: f64,
     observe_every: Duration,
     adapt_every: Duration,
     tick: Duration,
     last_observe: Instant,
     last_adapt: Instant,
-    recording: bool,
-    /// Counters at the previous flight-recorder sample:
-    /// `(t, packets_in, busy_secs, bucket_waited)`.
-    last_rec: (f64, u64, f64, f64),
     outbox: VecDeque<Emit>,
     phase: Phase,
-    /// Consecutive overload / underload observations (shard debounce).
-    shard_streak: (u32, u32),
-    last_shard_action: Instant,
 }
 
 impl Activation for StageTask {
@@ -420,52 +377,34 @@ impl Activation for StageTask {
     }
 
     fn finish(self: Box<Self>) -> StageReport {
-        self.into_report()
+        self.w.core.report(self.w.my_drops.load(Ordering::Relaxed))
     }
 }
 
 impl StageTask {
-    pub(crate) fn new(mut w: StageWorker) -> Self {
-        if w.routes.is_empty() && !w.out.is_empty() {
-            // Engines that don't shard wire one singleton route per port,
-            // preserving the original emit/emit_to semantics exactly.
-            w.routes =
-                (0..w.out.len()).map(|p| OutRoute { start: p, len: 1, router: None }).collect();
-        }
+    pub(crate) fn new(w: StageWorker) -> Self {
         let observe_every = Duration::from_secs_f64(w.opts.observe_interval.as_secs_f64());
         let adapt_every = Duration::from_secs_f64(w.opts.adapt_interval.as_secs_f64());
         let tick = observe_every.min(Duration::from_millis(10));
-        let recording = w.opts.recorder.enabled();
-        let stats = StageReport {
-            name: w.name.clone(),
-            placed_on: w.placed_on.clone(),
-            ..Default::default()
-        };
         let is_source = w.in_edges == 0;
         let eos_remaining = w.in_edges;
         StageTask {
             w,
-            api: StageApi::new(),
-            controllers: Vec::new(),
-            trajectories: Vec::new(),
-            stats,
             is_source,
             eos_remaining,
             stopped: false,
             finishing: false,
             started: false,
             last_ckpt: 0,
+            ckpt_base: 0,
+            bucket_waited: 0.0,
             observe_every,
             adapt_every,
             tick,
             last_observe: Instant::now(),
             last_adapt: Instant::now(),
-            recording,
-            last_rec: (0.0, 0, 0.0, 0.0),
             outbox: VecDeque::new(),
             phase: Phase::Loop,
-            shard_streak: (0, 0),
-            last_shard_action: Instant::now(),
         }
     }
 
@@ -508,25 +447,12 @@ impl StageTask {
         }
     }
 
-    /// `on_start`, failover restore, and adaptation controllers for the
-    /// stage's declared parameters.
+    /// Start the core, restoring an adopted stage's checkpoint.
     fn init(&mut self) {
         self.started = true;
-        self.api.set_now(self.now());
-        self.w.processor.on_start(&mut self.api);
-        if let Some(state) = self.w.restore.take() {
-            self.w.processor.restore(&state);
-        }
-        if let Some(tracker) = &self.w.tracker {
-            let cfg = tracker.config().clone();
-            for (pid, spec, _) in self.api.params().iter() {
-                self.controllers.push((pid, ParamController::new(cfg.clone(), spec.clone())));
-                self.trajectories.push(ParamTrajectory {
-                    name: spec.name.clone(),
-                    samples: vec![(0.0, spec.init)],
-                });
-            }
-        }
+        let restore = self.w.restore.take();
+        self.ckpt_base = restore.as_ref().map_or(0, |(seq, _)| *seq);
+        self.w.core.start(self.now(), restore.as_ref().map(|(_, state)| state.as_slice()));
         // Ship anything on_start emitted before polling input.
         self.enqueue_emitted();
         self.phase = Phase::Flush { after: After::Loop };
@@ -567,11 +493,7 @@ impl StageTask {
     fn drain_control(&mut self) {
         while let Ok(msg) = self.w.ctl.try_recv() {
             match msg {
-                Control::Exception(e) => {
-                    for (_, c) in &mut self.controllers {
-                        c.on_exception(e);
-                    }
-                }
+                Control::Exception(e) => self.w.core.on_exception(e),
                 Control::Stop => self.enter_finish(true),
             }
         }
@@ -584,137 +506,25 @@ impl StageTask {
     fn run_timers(&mut self) {
         if self.last_observe.elapsed() >= self.observe_every {
             self.last_observe = Instant::now();
-            if let Some(tracker) = &mut self.w.tracker {
-                match tracker.observe(self.w.rx.len() as f64) {
-                    Some(exception) => {
-                        match exception {
-                            LoadException::Overload => self.stats.exceptions_sent.0 += 1,
-                            LoadException::Underload => self.stats.exceptions_sent.1 += 1,
-                        }
-                        for up in &self.w.upstream_ctl {
-                            let _ = up.send(Control::Exception(exception));
-                        }
-                        self.note_shard_signal(exception);
-                    }
-                    // d̃ back inside [LT1·C, LT2·C]: the streak breaks.
-                    None => self.shard_streak = (0, 0),
+            let now = self.now();
+            let depth = self.w.rx.len();
+            if let Some(exception) = self.w.core.observe(now, depth) {
+                for up in &self.w.upstream_ctl {
+                    let _ = up.send(Control::Exception(exception));
                 }
             }
-            if self.recording {
-                let t = self.w.clock.now_secs();
-                let (t0, in0, busy0, wait0) = self.last_rec;
-                let dt = t - t0;
-                let d_in = self.stats.packets_in - in0;
-                let busy = self.stats.busy_time.as_secs_f64();
-                self.last_rec = (t, self.stats.packets_in, busy, self.w.bucket_waited);
-                self.w.opts.recorder.record(TraceEvent::Sample(StageSample {
-                    t,
-                    stage: self.w.name.clone(),
-                    queue_depth: self.w.rx.len(),
-                    packets_in: self.stats.packets_in,
-                    packets_out: self.stats.packets_out,
-                    dropped: self.w.my_drops.load(Ordering::Relaxed),
-                    throughput: if dt > 0.0 { d_in as f64 / dt } else { 0.0 },
-                    service_time: if d_in > 0 { (busy - busy0) / d_in as f64 } else { 0.0 },
-                    bucket_wait: self.w.bucket_waited - wait0,
-                }));
-            }
+            let dropped = self.w.my_drops.load(Ordering::Relaxed);
+            self.w.core.sample(now, depth, dropped, self.bucket_waited);
         }
-        if let Some(tracker) = &self.w.tracker {
-            if self.last_adapt.elapsed() >= self.adapt_every {
-                self.last_adapt = Instant::now();
-                let d_tilde = tracker.d_tilde();
-                let t = self.w.clock.now_secs();
-                let (phi1, phi2, phi3) = (tracker.phi1(), tracker.phi2(), tracker.phi3());
-                for (i, (pid, controller)) in self.controllers.iter_mut().enumerate() {
-                    let v = controller.adapt(d_tilde);
-                    let _ = self.api.push_suggestion(*pid, v);
-                    self.trajectories[i].samples.push((t, v));
-                    if self.recording {
-                        let outcome = controller.last_outcome().unwrap_or_default();
-                        let received = controller.exceptions_received();
-                        self.w.opts.recorder.record(TraceEvent::Adapt(AdaptRound {
-                            t,
-                            stage: self.w.name.clone(),
-                            param: self.trajectories[i].name.clone(),
-                            policy: controller.policy_name().to_string(),
-                            d_tilde,
-                            phi1,
-                            phi2,
-                            phi3,
-                            sigma1: outcome.sigma1,
-                            sigma2: outcome.sigma2,
-                            suggested: v,
-                            overload_sent: self.stats.exceptions_sent.0,
-                            underload_sent: self.stats.exceptions_sent.1,
-                            overload_received: received.0,
-                            underload_received: received.1,
-                        }));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Count consecutive same-direction exceptions; once the streak and
-    /// the cooldown both allow it, turn the load signal into a shard
-    /// action — scale-out (split) on overload, scale-in (merge) on
-    /// underload — applied locally or requested from the coordinator
-    /// depending on [`ShardScaling`].
-    fn note_shard_signal(&mut self, exception: LoadException) {
-        let Some(ctl) = &self.w.shard else { return };
-        let split = match exception {
-            LoadException::Overload => {
-                self.shard_streak = (self.shard_streak.0 + 1, 0);
-                true
-            }
-            LoadException::Underload => {
-                self.shard_streak = (0, self.shard_streak.1 + 1);
-                false
-            }
-        };
-        let streak = if split { self.shard_streak.0 } else { self.shard_streak.1 };
-        if streak < SHARD_STREAK || self.last_shard_action.elapsed() < SHARD_COOLDOWN {
-            return;
-        }
-        self.shard_streak = (0, 0);
-        self.last_shard_action = Instant::now();
-        match &ctl.mode {
-            ShardScaling::Local => {
-                let result = if split {
-                    ctl.router.split_hot(ctl.ordinal)
-                } else {
-                    ctl.router.merge_cold(ctl.ordinal)
-                };
-                if let Ok(change) = result {
-                    if self.recording {
-                        self.w.opts.recorder.record(TraceEvent::Link(LinkEvent {
-                            t: self.w.clock.now_secs(),
-                            link: self.w.name.clone(),
-                            node: self.w.placed_on.clone(),
-                            kind: if split {
-                                LinkEventKind::ShardSplit
-                            } else {
-                                LinkEventKind::ShardMerge
-                            },
-                            detail: format!(
-                                "replica {} -> {} (epoch {})",
-                                change.from, change.to, change.epoch
-                            ),
-                        }));
-                    }
-                }
-            }
-            ShardScaling::Request(tx) => {
-                let _ = tx.send((ctl.group, ctl.ordinal, split));
-            }
+        if self.w.core.adapts() && self.last_adapt.elapsed() >= self.adapt_every {
+            self.last_adapt = Instant::now();
+            self.w.core.adapt(self.now());
         }
     }
 
     /// Source: one `poll_generate`, then flush and wait out `next_poll`.
     fn step_source(&mut self) -> Step {
-        self.api.set_now(self.now());
-        match self.w.processor.poll_generate(&mut self.api) {
+        match self.w.core.generate(self.now()) {
             SourceStatus::Continue { next_poll } => {
                 self.enqueue_emitted();
                 let until = Instant::now() + Duration::from_secs_f64(next_poll.as_secs_f64());
@@ -764,15 +574,9 @@ impl StageTask {
                 continue;
             }
             consumed = true;
-            self.stats.packets_in += 1;
-            self.stats.records_in += packet.records as u64;
-            self.stats.bytes_in += packet.payload.len() as u64;
-            self.stats.latency.push(self.now().since(packet.created_at).as_secs_f64());
-            let service = self.w.cost.service_time(&packet, self.w.speed);
-            self.api.set_now(self.now());
-            self.w.processor.process(packet, &mut self.api);
-            let extra = self.api.take_extra_cost();
-            let total = service.as_secs_f64() + extra.as_secs_f64() / self.w.speed;
+            let now = self.now();
+            self.w.core.arrived(&packet, now);
+            let total = self.w.core.process(packet, now).as_secs_f64();
             self.enqueue_emitted();
             if total > 0.0 {
                 // Realize the service time in tick slices (next steps) so
@@ -786,7 +590,7 @@ impl StageTask {
             self.phase = Phase::Flush { after: After::Loop };
             match self.pump_outbox() {
                 None => {
-                    self.maybe_checkpoint(self.stats.packets_in);
+                    self.maybe_checkpoint(self.w.core.packets_in());
                     self.phase = Phase::Loop;
                 }
                 Some(step) => {
@@ -809,7 +613,7 @@ impl StageTask {
         let slice = remaining.min(self.tick.as_secs_f64());
         if slice > 0.0 {
             std::thread::sleep(Duration::from_secs_f64(slice));
-            self.stats.busy_time += SimDuration::from_secs_f64(slice);
+            self.w.core.add_busy(SimDuration::from_secs_f64(slice));
         }
         let left = *remaining - slice;
         if left > 0.0 {
@@ -830,12 +634,12 @@ impl StageTask {
                 };
                 match after {
                     After::Loop => {
-                        self.maybe_checkpoint(self.stats.packets_in);
+                        self.maybe_checkpoint(self.w.core.packets_in());
                         self.phase = Phase::Loop;
                         Step::Yield
                     }
                     After::Poll { until } => {
-                        self.maybe_checkpoint(self.stats.packets_out);
+                        self.maybe_checkpoint(self.w.core.packets_out());
                         self.phase = Phase::PollWait { until };
                         if Instant::now() >= until {
                             Step::Yield
@@ -861,8 +665,7 @@ impl StageTask {
     /// but still offers EOS to live receivers.
     fn step_finish(&mut self) -> Step {
         if !self.stopped && !self.is_source {
-            self.api.set_now(self.now());
-            self.w.processor.on_eos(&mut self.api);
+            self.w.core.eos(self.now());
             self.enqueue_emitted();
         }
         for port in 0..self.w.out.len() {
@@ -878,56 +681,12 @@ impl StageTask {
         self.step_flush()
     }
 
-    /// Queue everything the processor emitted, counting output stats
-    /// once per emission. A `Some(route)` tag targets one logical route;
-    /// `None` broadcasts to every route. A route whose consumer is a
-    /// replica group resolves to exactly one physical port — the replica
-    /// owning the packet's key under the group's current shard map — so
-    /// a keyed stream fans out across replicas instead of duplicating.
+    /// Queue everything the processor emitted, as the core routes it.
     fn enqueue_emitted(&mut self) {
-        for (target, packet) in self.api.take_emitted() {
-            if let Some(r) = target {
-                debug_assert!(r < self.w.routes.len(), "emit_to({r}) out of range");
-                if r >= self.w.routes.len() {
-                    continue;
-                }
-            }
-            self.stats.packets_out += 1;
-            self.stats.records_out += packet.records as u64;
-            self.stats.bytes_out += packet.payload.len() as u64;
-            match target {
-                Some(r) => {
-                    let port = Self::route_port(&self.w.routes[r], &packet);
-                    self.outbox.push_back(Emit {
-                        port,
-                        packet,
-                        ready_at: None,
-                        final_marker: false,
-                    });
-                }
-                None => {
-                    for i in 0..self.w.routes.len() {
-                        let port = Self::route_port(&self.w.routes[i], &packet);
-                        self.outbox.push_back(Emit {
-                            port,
-                            packet: packet.clone(),
-                            ready_at: None,
-                            final_marker: false,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    /// The physical port a packet takes on a logical route: singleton
-    /// routes have exactly one, sharded routes ask the group's router
-    /// which replica owns the packet's key.
-    fn route_port(route: &OutRoute, packet: &Packet) -> usize {
-        match &route.router {
-            Some(router) => route.start + router.route(packet.key).min(route.len - 1),
-            None => route.start,
-        }
+        let outbox = &mut self.outbox;
+        self.w.core.route_emitted(|port, packet| {
+            outbox.push_back(Emit { port, packet, ready_at: None, final_marker: false });
+        });
     }
 
     /// Drain the outbox head-first. Returns the step to take when the
@@ -947,7 +706,7 @@ impl StageTask {
                     let now = self.w.start.elapsed().as_secs_f64();
                     let wait = self.w.out[head.port].bucket.acquire(head.packet.wire_len(), now);
                     if wait > 0.0 {
-                        self.w.bucket_waited += wait;
+                        self.bucket_waited += wait;
                         head.ready_at = Some(Instant::now() + Duration::from_secs_f64(wait));
                     } else {
                         head.ready_at = Some(Instant::now());
@@ -1033,7 +792,8 @@ impl StageTask {
 
     /// Ship a state snapshot if the stage has checkpointing wired and
     /// has made `every` packets of progress since the last one.
-    /// `progress` is packets consumed (or, for a source, produced).
+    /// `progress` is packets consumed (or, for a source, produced); the
+    /// checkpoint's seq adds it to the restored checkpoint's.
     /// The per-edge input cursors are sampled here, in stage-task
     /// context between packets, so they are a valid replay floor for
     /// the state in the same snapshot. A checkpoint that carries
@@ -1045,25 +805,11 @@ impl StageTask {
             return;
         }
         self.last_ckpt = progress;
-        let state = self.w.processor.snapshot();
+        let state = self.w.core.snapshot();
         let cursors = cfg.cursors.as_ref().map(|f| f()).unwrap_or_default();
         if !state.is_empty() || !cursors.is_empty() {
-            let _ = cfg.tx.send((cfg.stage, progress, state, cursors));
+            let _ = cfg.tx.send((cfg.stage, self.ckpt_base + progress, state, cursors));
         }
-    }
-
-    /// Final accounting; consumes the task.
-    pub(crate) fn into_report(mut self) -> StageReport {
-        if let Some(tracker) = &self.w.tracker {
-            self.stats.queue = tracker.queue_stats().clone();
-        }
-        self.stats.packets_dropped = self.w.my_drops.load(Ordering::Relaxed);
-        self.stats.exceptions_received = self.controllers.iter().fold((0, 0), |acc, (_, c)| {
-            let (o, u) = c.exceptions_received();
-            (acc.0 + o, acc.1 + u)
-        });
-        self.stats.params = std::mem::take(&mut self.trajectories);
-        self.stats
     }
 }
 

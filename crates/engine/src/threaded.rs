@@ -24,7 +24,6 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, RecvTimeoutError, Sender};
 
-use gates_core::adapt::LoadTracker;
 use gates_core::report::RunReport;
 use gates_core::trace::{RunMeta, TraceEvent};
 #[allow(unused_imports)] // rustdoc link target
@@ -35,7 +34,8 @@ use gates_sim::SimTime;
 
 use crate::executor::CorePool;
 use crate::options::RunOptions;
-use crate::runtime::{Control, OutPort, ShardCtl, ShardScaling, StageTask, StageWorker};
+use crate::runtime::{Control, OutPort, StageTask, StageWorker};
+use crate::stage_core::{ShardScaling, StageCore};
 use crate::EngineError;
 
 /// Wall-clock executor. Build with [`ThreadedEngine::new`], run with
@@ -117,7 +117,6 @@ impl ThreadedEngine {
 
         let mut task_handles = Vec::new();
         for idx in 0..n {
-            let stage = &self.topology.stages()[idx];
             let id = StageId::from_index(idx);
             let out: Vec<OutPort> = self
                 .topology
@@ -148,38 +147,28 @@ impl ThreadedEngine {
                 .into_iter()
                 .map(|ei| self.topology.edges()[ei].from.index() as u32)
                 .collect();
-            let in_edges = self.topology.in_edges(id).len();
-            let routes = self.topology.out_routes(id);
-            // A replica's overload/underload signal mutates the shared
-            // router directly: every in-process sender sees the new map
-            // on its next route lookup.
-            let shard = self.topology.replica_of(id).map(|(gi, ordinal)| ShardCtl {
-                group: gi as u32,
-                ordinal: ordinal as u32,
-                router: Arc::clone(&self.topology.groups()[gi].router),
-                mode: ShardScaling::Local,
-            });
-
             let worker = StageWorker {
-                name: stage.name.clone(),
-                placed_on: self.nodes[idx].clone(),
-                processor: stage.instantiate(),
-                cost: stage.cost,
-                speed: self.speeds[idx],
-                tracker: stage.adaptation.clone().map(LoadTracker::new),
+                // A replica's overload/underload signal mutates the shared
+                // router directly: every in-process sender sees the new
+                // map on its next route lookup.
+                core: StageCore::new(
+                    &self.topology,
+                    id,
+                    self.nodes[idx].clone(),
+                    self.speeds[idx],
+                    ShardScaling::Local,
+                    &self.opts,
+                ),
                 rx: data_rx[idx].clone(),
                 ctl: ctl_rx[idx].clone(),
                 out,
-                routes,
-                shard,
                 upstream_ctl,
-                in_edges,
+                in_edges: self.topology.in_edges(id).len(),
                 my_drops: Arc::clone(&drops[idx]),
                 opts: self.opts.clone(),
                 start,
                 clock: Arc::clone(&clock),
                 stop: Arc::clone(&stop),
-                bucket_waited: 0.0,
                 checkpoint: None,
                 restore: None,
                 hub: Arc::clone(&hub),

@@ -297,6 +297,23 @@ fn killed_worker_reconnects_with_backoff_then_drains() {
         "summarizers emitted {out0}+{out1} packets; the collector checkpointed {restored_at} and \
          consumed {after_restore} after its restore;\noutput:\n{stdout}"
     );
+
+    // The adopted collector numbers its own checkpoints on from the one
+    // it restored, so the coordinator keeps them: a second failover
+    // would otherwise restore the stale first one.
+    let meta = trace_text.lines().find(|l| l.contains("\"type\":\"meta\"")).expect("meta event");
+    let collector = meta
+        .split("{\"stage\":")
+        .skip(1)
+        .position(|s| s.starts_with("\"collector\""))
+        .expect("collector in the placements");
+    let (_, after) = trace_text.split_once("\"kind\":\"restored\"").expect("restored event");
+    let ckpt_link = format!("\"link\":\"checkpoint-{collector}\"");
+    let stale: Vec<&str> = after
+        .lines()
+        .filter(|l| l.contains(&ckpt_link) && l.contains("not newer than stored"))
+        .collect();
+    assert!(stale.is_empty(), "the adopted collector's checkpoints were discarded: {stale:?}");
 }
 
 /// Pull a `"key":"value"` string field out of a JSONL trace line. Good
@@ -672,6 +689,10 @@ fn chaos_partition_heals_to_zero_loss() {
     let (lost, _replayed, _deduped, _stalled) = delivery_counts(&stdout);
     assert_eq!(lost, 0, "a healed partition must lose nothing; output:\n{stdout}");
     assert_conservation(&stdout, "partition=wc@1s+800ms");
+    // The partitioned worker accepts dials and drops them: the senders
+    // must back off between re-dials, not spin on them.
+    let reconnects = trace_text.matches("\"kind\":\"reconnecting\"").count();
+    assert!(reconnects <= 200, "{reconnects} re-dials in an 800 ms partition");
 }
 
 /// Every fault kind at once on the data plane: drops, bit flips,

@@ -110,3 +110,48 @@ fn des_reports_deterministic_finish_threaded_reports_wall_time() {
     let wall = ThreadedEngine::new(t3, &p3, opts).unwrap().run().unwrap().finished_at;
     assert!(wall > SimTime::ZERO, "threaded engine reports elapsed wall time");
 }
+
+/// A sink that still emits: one echo per packet and a final answer at
+/// end of stream. It has no out-edge, so the emissions go nowhere, but
+/// both engines count them.
+struct EchoSink;
+impl StreamProcessor for EchoSink {
+    fn process(&mut self, p: Packet, api: &mut StageApi) {
+        api.emit(p);
+    }
+    fn on_eos(&mut self, api: &mut StageApi) {
+        api.emit(Packet::data(0, 0, 1, Bytes::from_static(b"answer")));
+    }
+}
+
+#[test]
+fn an_emitting_sink_counts_the_same_on_both_engines() {
+    let packets = 30u32;
+    let build = || {
+        let mut t = Topology::new();
+        let s = t
+            .add_stage_raw(StageBuilder::new("src").processor(move || Burst { left: packets }))
+            .unwrap();
+        let k = t.add_stage(StageBuilder::new("sink").processor(|| EchoSink)).unwrap();
+        t.connect(s, k, LinkSpec::with_bandwidth(Bandwidth::mb_per_sec(10.0)).blocking());
+        let registry = ResourceRegistry::uniform_cluster(&["src", "sink"]);
+        let p = plan(&t, &registry);
+        (t, p)
+    };
+
+    let (t1, p1) = build();
+    let des_report = DesEngine::new(t1, &p1, RunOptions::default()).unwrap().run_to_completion();
+    let (t2, p2) = build();
+    let opts = RunOptions::default().max_time(SimTime::from_secs_f64(20.0));
+    let thr_report = ThreadedEngine::new(t2, &p2, opts).unwrap().run().unwrap();
+
+    let des_sink = des_report.stage("sink").unwrap();
+    let thr_sink = thr_report.stage("sink").unwrap();
+    assert_eq!(thr_sink.packets_in, packets as u64);
+    assert_eq!(thr_sink.packets_out, packets as u64 + 1, "every echo and the answer");
+    assert_eq!(
+        (des_sink.packets_in, des_sink.packets_out, des_sink.bytes_out),
+        (thr_sink.packets_in, thr_sink.packets_out, thr_sink.bytes_out),
+        "DES and threaded count a sink's emissions alike"
+    );
+}
