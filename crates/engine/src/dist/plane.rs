@@ -1091,6 +1091,11 @@ impl Source for SenderConn {
             }
         }
         self.report_faults();
+        // Once the worker stops, the connection gets one bounded last
+        // chance to flush and to collect its trailing acks.
+        let stopping = self.stop.load(Ordering::Relaxed);
+        let stop_passed =
+            stopping && now >= *self.stop_deadline.get_or_insert(now + Duration::from_secs(1));
         if self.rx_down && !self.backlog() && self.stall_until.is_none() {
             let in_flight = self.window.lock().unwrap_or_else(|p| p.into_inner()).in_flight();
             if in_flight == 0 {
@@ -1099,9 +1104,11 @@ impl Source for SenderConn {
                 let carried = self.fs.take_fault_injector();
                 return self.finish(ConnFate::Finished { carried });
             }
-            if !self.peer_eof && !self.stop.load(Ordering::Relaxed) {
+            if !self.peer_eof && !stop_passed {
                 // Everything flushed; wait (readable) for the trailing
-                // acks, re-checking on the sweep cadence.
+                // acks, re-checking on the sweep cadence. A stopping
+                // worker waits too: a flushed frame the receiver dropped
+                // is still owed its replay.
                 return Directive {
                     want_read: true,
                     want_write: false,
@@ -1117,14 +1124,13 @@ impl Source for SenderConn {
             let carried = self.fs.take_fault_injector();
             return self.finish(ConnFate::Broken { carried });
         }
-        if self.stop.load(Ordering::Relaxed) {
+        if stopping {
             // Best-effort final flush (end-of-stream markers), bounded.
             // Packets left in a bridge out of credit wait for the acks
             // of a receiver still consuming them (a clean finish stops
             // the sending worker before its last packets are sent).
-            let deadline = *self.stop_deadline.get_or_insert(now + Duration::from_secs(1));
             let stranded = self.credit_blocked && !self.rx.is_empty();
-            if (!self.backlog() && !stranded) || now >= deadline {
+            if (!self.backlog() && !stranded) || stop_passed {
                 return self.finish(ConnFate::Stopped);
             }
             return Directive {

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 use crossbeam::channel::{
-    bounded, unbounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender, TryRecvError,
+    bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError,
 };
 
 use gates_core::report::StageReport;
@@ -408,35 +408,19 @@ impl DistWorker {
                     );
                 }
                 (false, true) => {
-                    let (etx, erx) = unbounded::<Control>();
-                    remote_exc.insert(ei, etx);
-                    let blocking = edge.link.flow == FlowControl::Blocking;
-                    in_edge_reg.insert(
-                        ei as u32,
-                        Arc::new(InEdge {
-                            data_tx: data_tx[&to].clone(),
-                            shard: shard_guard(&topology, to, &data_tx),
-                            blocking,
-                            drops: Arc::clone(&drops[&to]),
-                            exc_rx: erx,
-                            eos_forwarded: AtomicBool::new(false),
-                            connected: AtomicBool::new(false),
-                            // A sender that never manages to connect at
-                            // all must still drain eventually.
-                            disconnected_at: Mutex::new(Some(Instant::now())),
-                            connections: AtomicU64::new(0),
-                            announce_resume: AtomicBool::new(false),
-                            cursor: AtomicU64::new(0),
-                            durable: AtomicU64::new(0),
-                            credit: Mutex::new(EdgeCredit::new(0, blocking)),
-                            sender_incarnation: AtomicU64::new(u64::MAX),
-                            adoption_epoch: 0,
-                            stats: delivery.clone(),
-                            hub: Arc::clone(&hub),
-                            wake_key: to as u32,
-                            reporter,
-                        }),
+                    let (ie, etx) = InEdge::new(
+                        data_tx[&to].clone(),
+                        Arc::clone(&drops[&to]),
+                        (Arc::clone(&hub), to as u32),
+                        edge.link.flow == FlowControl::Blocking,
+                        shard_guard(&topology, to, &data_tx),
+                        reporter,
+                        delivery.clone(),
+                        0,
+                        0,
                     );
+                    remote_exc.insert(ei, etx);
+                    in_edge_reg.insert(ei as u32, ie);
                 }
                 _ => {}
             }
@@ -459,15 +443,6 @@ impl DistWorker {
             let token = reactor.register(Box::new(ListenerSource::new(listener, ctx)));
             notify.add(reactor, token);
         }
-        let drain_handle = {
-            let reg = Arc::clone(&in_edge_reg);
-            let stop = Arc::clone(&stop);
-            let window = cfg.drain_window;
-            std::thread::Builder::new()
-                .name("gates-drain".into())
-                .spawn(move || drain_monitor(reg, stop, window))
-                .map_err(|e| EngineError::Transport(e.to_string()))?
-        };
 
         // --- ready / start -------------------------------------------
         ctrl.send(&encode_ctrl(&CtrlMsg::Ready { name: self.name.clone() }))
@@ -484,51 +459,24 @@ impl DistWorker {
             }
         }
 
-        // Injected partition: a timer flips the shared flag for the
-        // configured window. Only the named worker partitions; everyone
-        // else just observes its silence.
-        if let Some(spec) = cfg.fault.as_ref().and_then(|f| f.partition.clone()) {
-            if spec.node == self.name {
-                let flag = Arc::clone(&partitioned);
-                let stop_flag = Arc::clone(&stop);
-                let nudge = notify.clone();
-                let reporter = LinkReporter {
+        // Injected partition: the main loop flips the shared flag for
+        // the configured window. Only the named worker partitions;
+        // everyone else just observes its silence.
+        let mut partition = cfg
+            .fault
+            .as_ref()
+            .and_then(|f| f.partition.clone())
+            .filter(|spec| spec.node == self.name)
+            .map(|spec| PartitionWindow {
+                next: Some(Instant::now() + spec.at),
+                lasts: spec.duration,
+                reporter: LinkReporter {
                     recorder: Arc::clone(&recorder),
                     clock: Arc::clone(&clock),
                     link: "partition".into(),
                     node: self.name.clone(),
-                };
-                std::thread::Builder::new()
-                    .name("gates-partition".into())
-                    .spawn(move || {
-                        let run_start = Instant::now();
-                        while run_start.elapsed() < spec.at {
-                            if stop_flag.load(Ordering::Relaxed) {
-                                return;
-                            }
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        flag.store(true, Ordering::Relaxed);
-                        // Parked sources re-check the flag immediately.
-                        nudge.notify_all();
-                        reporter.record(
-                            LinkEventKind::FaultInjected,
-                            format!("partition cut for {:?}", spec.duration),
-                        );
-                        let cut_at = Instant::now();
-                        while cut_at.elapsed() < spec.duration {
-                            if stop_flag.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        flag.store(false, Ordering::Relaxed);
-                        nudge.notify_all();
-                        reporter.record(LinkEventKind::FaultInjected, "partition healed");
-                    })
-                    .map_err(|e| EngineError::Transport(e.to_string()))?;
-            }
-        }
+                },
+            });
         // Control-plane chaos starts only now: the handshake above must
         // stay reliable or no run would ever assemble.
         let ctrl_faults = LinkReporter {
@@ -648,47 +596,25 @@ impl DistWorker {
         let mut stage_ctl: Vec<Sender<Control>> = ctl_tx.values().cloned().collect();
         drop(ctl_tx);
 
-        // Watchdog: stop the run when the budget elapses. Clean finishes
-        // release it early through the done-channel (dropping the sender
-        // disconnects the receive), and shutdown joins it — no thread
-        // outlives the run.
-        let budget = Duration::from_secs_f64(opts.max_time.as_secs_f64());
-        let watchdog_stop = Arc::clone(&stop);
-        let watchdog_ctl = stage_ctl.clone();
-        let (wd_done_tx, wd_done_rx) = bounded::<()>(1);
-        let watchdog_handle = std::thread::Builder::new()
-            .name("gates-watchdog".into())
-            .spawn(move || {
-                if matches!(wd_done_rx.recv_timeout(budget), Err(RecvTimeoutError::Timeout)) {
-                    watchdog_stop.store(true, Ordering::Relaxed);
-                    for c in &watchdog_ctl {
-                        let _ = c.send(Control::Stop);
-                    }
-                }
-            })
-            .map_err(|e| EngineError::Transport(e.to_string()))?;
-
-        // Joiner: collect stage reports off the main thread so the main
-        // loop can keep servicing the coordinator connection.
-        let (done_tx, done_rx) = bounded::<Vec<StageReport>>(1);
-        std::thread::Builder::new()
-            .name("gates-join".into())
-            .spawn(move || {
-                let mut reports = Vec::with_capacity(handles.len());
-                for h in handles {
-                    reports.push(h.join().unwrap_or_default());
-                }
-                let _ = done_tx.send(reports);
-            })
-            .map_err(|e| EngineError::WorkerPanic(e.to_string()))?;
-
         // --- main loop: trace/heartbeat/checkpoint relay + control ---
+        // It laps at least every 10 ms, and each lap also runs the
+        // partition window, the run budget and the drain backstop, and
+        // polls the stages (original and adopted alike) for completion.
+        let run_end = Instant::now() + Duration::from_secs_f64(opts.max_time.as_secs_f64());
+        let mut backstop = DrainBackstop { window: cfg.drain_window, unsent: Vec::new() };
         let mut coordinator_gone = false;
-        let mut base_reports: Option<Vec<StageReport>> = None;
-        let mut adopted_handles: Vec<TaskHandle> = Vec::new();
         let mut last_heartbeat = Instant::now();
         let mut last_epoch = 0u64;
         loop {
+            if let Some(p) = partition.as_mut() {
+                p.lap(stop.load(Ordering::Relaxed), &partitioned, &notify);
+            }
+            // The budget ends the run, and so does losing the
+            // coordinator: an orphaned worker must not run unbounded.
+            if coordinator_gone || Instant::now() >= run_end {
+                stop_stages(&stop, &stage_ctl);
+            }
+            backstop.lap(&in_edge_reg, stop.load(Ordering::Relaxed));
             let cut = partitioned.load(Ordering::Relaxed);
             // All trace events ready this lap coalesce into one write.
             while let Ok(event) = trace_rx.try_recv() {
@@ -742,33 +668,18 @@ impl DistWorker {
             }
             // A partitioned worker goes silent: nothing flushes and
             // nothing is read until the window heals. Queued frames just
-            // accumulate and land afterwards.
-            if cut {
-                std::thread::sleep(Duration::from_millis(10));
-                if base_reports.is_none() {
-                    if let Ok(r) = done_rx.try_recv() {
-                        base_reports = Some(r);
-                    }
+            // accumulate and land afterwards, the final report included,
+            // so the loop does not end mid-window. An orphaned worker has
+            // nothing left to read: it waits for its stopped stages.
+            if cut || coordinator_gone {
+                if !cut && handles.iter().all(TaskHandle::is_finished) {
+                    break;
                 }
+                std::thread::sleep(Duration::from_millis(10));
                 continue;
             }
-            if !coordinator_gone {
-                // Hand freshly queued frames to the reactor for writing.
-                ctrl_handle.kick();
-            }
-            if coordinator_gone {
-                // An orphaned worker must not run unbounded: stop, then
-                // block on the joiner instead of polling (the stages
-                // watch the stop flag and wind down promptly).
-                stop.store(true, Ordering::Relaxed);
-                for c in &stage_ctl {
-                    let _ = c.send(Control::Stop);
-                }
-                if base_reports.is_none() {
-                    base_reports = Some(done_rx.recv().unwrap_or_default());
-                }
-                break;
-            }
+            // Hand freshly queued frames to the reactor for writing.
+            ctrl_handle.kick();
             // Drain control-plane events from the reactor: wait briefly
             // for the first so the loop does not spin, then sweep
             // whatever else arrived in the same lap.
@@ -788,12 +699,7 @@ impl DistWorker {
                         LinkEventKind::FaultInjected,
                         format!("ctrl frame {}: {}", af.index, af.fate.name()),
                     ),
-                    CtrlEvent::Msg(CtrlMsg::Stop) => {
-                        stop.store(true, Ordering::Relaxed);
-                        for c in &stage_ctl {
-                            let _ = c.send(Control::Stop);
-                        }
-                    }
+                    CtrlEvent::Msg(CtrlMsg::Stop) => stop_stages(&stop, &stage_ctl),
                     CtrlEvent::Msg(CtrlMsg::ShardUpdate { group, epoch, map }) => {
                         // Key-range authority lives with the coordinator;
                         // workers install its broadcasts epoch-guarded,
@@ -886,46 +792,35 @@ impl DistWorker {
                             for ei in topology.in_edges(id) {
                                 let edge = &topology.edges()[ei];
                                 let from = edge.from.index();
-                                let (etx, erx) = unbounded::<Control>();
-                                upstream_ctl.push(etx);
-                                let cur0 = restored_cursors.get(&(ei as u32)).copied().unwrap_or(0);
-                                let blocking = edge.link.flow == FlowControl::Blocking;
-                                in_edge_reg.write().unwrap_or_else(|p| p.into_inner()).insert(
-                                    ei as u32,
-                                    Arc::new(InEdge {
-                                        data_tx: dtx.clone(),
-                                        // An adopted replica has no
-                                        // pool-local siblings to re-route
-                                        // to; its guard rejects instead.
-                                        shard: shard_guard(&topology, i, &HashMap::new()),
-                                        blocking,
-                                        drops: Arc::clone(&my_drops),
-                                        exc_rx: erx,
-                                        eos_forwarded: AtomicBool::new(false),
-                                        connected: AtomicBool::new(false),
-                                        disconnected_at: Mutex::new(Some(Instant::now())),
-                                        connections: AtomicU64::new(0),
-                                        announce_resume: AtomicBool::new(true),
-                                        cursor: AtomicU64::new(cur0),
-                                        durable: AtomicU64::new(cur0),
-                                        credit: Mutex::new(EdgeCredit::new(cur0, blocking)),
-                                        sender_incarnation: AtomicU64::new(u64::MAX),
-                                        adoption_epoch: epoch,
-                                        stats: delivery.clone(),
-                                        hub: Arc::clone(&hub),
-                                        wake_key: i as u32,
-                                        reporter: LinkReporter {
-                                            recorder: Arc::clone(&recorder),
-                                            clock: Arc::clone(&clock),
-                                            link: format!(
-                                                "{}->{}",
-                                                topology.stages()[from].name,
-                                                stage.name
-                                            ),
-                                            node: self.name.clone(),
-                                        },
-                                    }),
+                                let reporter = LinkReporter {
+                                    recorder: Arc::clone(&recorder),
+                                    clock: Arc::clone(&clock),
+                                    link: format!(
+                                        "{}->{}",
+                                        topology.stages()[from].name,
+                                        stage.name
+                                    ),
+                                    node: self.name.clone(),
+                                };
+                                let (ie, etx) = InEdge::new(
+                                    dtx.clone(),
+                                    Arc::clone(&my_drops),
+                                    (Arc::clone(&hub), i as u32),
+                                    edge.link.flow == FlowControl::Blocking,
+                                    // An adopted replica has no pool-local
+                                    // siblings to re-route to; its guard
+                                    // rejects instead.
+                                    shard_guard(&topology, i, &HashMap::new()),
+                                    reporter,
+                                    delivery.clone(),
+                                    restored_cursors.get(&(ei as u32)).copied().unwrap_or(0),
+                                    epoch,
                                 );
+                                upstream_ctl.push(etx);
+                                in_edge_reg
+                                    .write()
+                                    .unwrap_or_else(|p| p.into_inner())
+                                    .insert(ei as u32, ie);
                             }
                             let mut out = Vec::new();
                             for ei in topology.out_edges(id) {
@@ -1061,26 +956,18 @@ impl DistWorker {
                                 upstream_keys: Vec::new(),
                             };
                             stage_ctl.push(ctx);
-                            adopted_handles
-                                .push(pool.spawn(Box::new(StageTask::new(worker)), i as u32));
+                            handles.push(pool.spawn(Box::new(StageTask::new(worker)), i as u32));
                         }
                     }
                     CtrlEvent::Msg(_) => {}
                 }
             }
-            if base_reports.is_none() {
-                if let Ok(r) = done_rx.try_recv() {
-                    base_reports = Some(r);
-                }
-            }
-            if base_reports.is_some() && adopted_handles.iter().all(|h| h.is_finished()) {
+            if handles.iter().all(TaskHandle::is_finished) {
                 break;
             }
         }
-        let mut reports = base_reports.unwrap_or_default();
-        for h in adopted_handles {
-            reports.push(h.join().unwrap_or_default());
-        }
+        let reports: Vec<StageReport> =
+            handles.into_iter().map(|h| h.join().unwrap_or_default()).collect();
 
         // --- shutdown ------------------------------------------------
         stop.store(true, Ordering::Relaxed);
@@ -1092,10 +979,6 @@ impl DistWorker {
         for h in bridge_handles {
             let _ = h.join();
         }
-        let _ = drain_handle.join();
-        // Release the watchdog (clean finish) or reap it (budget fired).
-        drop(wd_done_tx);
-        let _ = watchdog_handle.join();
         // The final report is the one control exchange chaos must not
         // touch: a dropped or mangled report would turn every chaos run
         // into a partial one. Injection ends here by design.
@@ -1258,7 +1141,7 @@ fn edge_window(link: &LinkSpec, cfg: &DistConfig) -> Arc<Mutex<AckWindow>> {
 }
 
 /// Receiver-side state of one remote in-edge, shared between the
-/// reactor sources pumping its connections and the drain monitor.
+/// reactor sources pumping its connections and the drain backstop.
 pub(super) struct InEdge {
     /// Input queue of the receiving stage.
     pub(super) data_tx: Sender<Queued>,
@@ -1270,7 +1153,7 @@ pub(super) struct InEdge {
     /// Exceptions from the receiving stage, to be written upstream.
     pub(super) exc_rx: Receiver<Control>,
     /// Exactly-once end-of-stream delivery: set by the first EOS frame
-    /// or by the drain monitor, whichever comes first.
+    /// or by the drain backstop, whichever comes first.
     pub(super) eos_forwarded: AtomicBool,
     pub(super) connected: AtomicBool,
     /// When the link last went down (or registration time, if the
@@ -1313,6 +1196,50 @@ pub(super) struct InEdge {
 }
 
 impl InEdge {
+    /// A fresh in-edge into the stage behind `data_tx`, woken through
+    /// `wake`, and the sender its stage reports exceptions upstream on.
+    /// No sender is connected yet, so one that never connects at all
+    /// still drains after the window. `cursor` seeds the delivered,
+    /// durable and consumed cursors: zero at run start, the restored
+    /// checkpoint's for an adopted stage. An edge registered by failover
+    /// (`adoption_epoch` > 0) announces its first packet.
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        data_tx: Sender<Queued>,
+        drops: Arc<AtomicU64>,
+        (hub, wake_key): (Arc<WakeHub>, u32),
+        blocking: bool,
+        shard: Option<InShard>,
+        reporter: LinkReporter,
+        stats: DeliveryStats,
+        cursor: u64,
+        adoption_epoch: u64,
+    ) -> (Arc<InEdge>, Sender<Control>) {
+        let (exc_tx, exc_rx) = unbounded::<Control>();
+        let edge = InEdge {
+            data_tx,
+            shard,
+            blocking,
+            drops,
+            exc_rx,
+            eos_forwarded: AtomicBool::new(false),
+            connected: AtomicBool::new(false),
+            disconnected_at: Mutex::new(Some(Instant::now())),
+            connections: AtomicU64::new(0),
+            announce_resume: AtomicBool::new(adoption_epoch > 0),
+            hub,
+            wake_key,
+            reporter,
+            cursor: AtomicU64::new(cursor),
+            durable: AtomicU64::new(cursor),
+            credit: Mutex::new(EdgeCredit::new(cursor, blocking)),
+            sender_incarnation: AtomicU64::new(u64::MAX),
+            adoption_epoch,
+            stats,
+        };
+        (Arc::new(edge), exc_tx)
+    }
+
     pub(super) fn wake_receiver(&self) {
         self.hub.wake(self.wake_key);
     }
@@ -1713,7 +1640,7 @@ impl RemoteSender {
                 // on a dead link. Give failover one drain window to move
                 // the receiver so the replay can land at the
                 // replacement; after that the frames are lost with the
-                // link and the receiver's drain monitor closes the
+                // link and the receiver's drain backstop closes the
                 // stream out.
                 let unacked = self.window.lock().unwrap_or_else(|p| p.into_inner()).in_flight();
                 if unacked == 0 {
@@ -1753,50 +1680,68 @@ impl RemoteSender {
     }
 }
 
-/// Blocking push into the stage queue that keeps watching the stop flag
-/// (mirror of the stage-side `send_with_stop_check`).
-fn push_with_stop(ie: &InEdge, packet: Packet, stop: &AtomicBool) {
-    push_to(&ie.data_tx, &ie.hub, ie.wake_key, packet.into(), stop);
+/// Set the stop flag and, the first time only, tell every stage.
+fn stop_stages(stop: &AtomicBool, stages: &[Sender<Control>]) {
+    if stop.swap(true, Ordering::Relaxed) {
+        return;
+    }
+    for c in stages {
+        let _ = c.send(Control::Stop);
+    }
 }
 
-/// Blocking push into an arbitrary local stage queue (the in-edge's own
-/// receiver, or a sibling replica on a shard re-route).
-fn push_to(tx: &Sender<Queued>, hub: &WakeHub, wake_key: u32, packet: Queued, stop: &AtomicBool) {
-    let mut packet = packet;
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            if tx.try_send(packet).is_ok() {
-                hub.wake(wake_key);
-            }
-            return;
-        }
-        match tx.send_timeout(packet, Duration::from_millis(10)) {
-            Ok(()) => {
-                hub.wake(wake_key);
-                return;
-            }
-            Err(SendTimeoutError::Timeout(p)) => packet = p,
-            Err(SendTimeoutError::Disconnected(_)) => return,
+/// An injected partition window, flipped by the main loop.
+struct PartitionWindow {
+    /// When the cut starts, then when it heals; `None` once over.
+    next: Option<Instant>,
+    lasts: Duration,
+    reporter: LinkReporter,
+}
+
+impl PartitionWindow {
+    /// Cut or heal when due. A stopping run heals at once and never
+    /// cuts.
+    fn lap(&mut self, stopping: bool, flag: &AtomicBool, nudge: &NotifyList) {
+        let Some(at) = self.next else { return };
+        let now = Instant::now();
+        let cut = flag.load(Ordering::Relaxed);
+        if !cut && stopping {
+            self.next = None;
+        } else if !cut && now >= at {
+            flag.store(true, Ordering::Relaxed);
+            // Parked sources re-check the flag immediately.
+            nudge.notify_all();
+            self.reporter.record(
+                LinkEventKind::FaultInjected,
+                format!("partition cut for {:?}", self.lasts),
+            );
+            self.next = Some(Instant::now() + self.lasts);
+        } else if cut && (stopping || now >= at) {
+            flag.store(false, Ordering::Relaxed);
+            nudge.notify_all();
+            self.reporter.record(LinkEventKind::FaultInjected, "partition healed");
+            self.next = None;
         }
     }
 }
 
-/// Watch disconnected in-edges; once one stays down for the drain
-/// window, inject an end-of-stream marker so the local pipeline drains
-/// instead of waiting forever on a dead sender.
-///
-/// The registry is re-read on every lap rather than snapshotted once:
-/// failover registers adopted in-edges mid-run, and those need the same
-/// drain backstop as the original set. Consequently the monitor runs
-/// until the stop flag, not until the current edges are all drained.
-fn drain_monitor(reg: InEdgeRegistry, stop: Arc<AtomicBool>, window: Duration) {
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
-        let edges: Vec<Arc<InEdge>> =
-            reg.read().unwrap_or_else(|p| p.into_inner()).values().cloned().collect();
-        for ie in &edges {
+/// The drain backstop, run once per main-loop lap: an in-edge whose
+/// sender stays disconnected for the drain window gets an injected
+/// end-of-stream marker, so the local pipeline drains instead of
+/// waiting forever on a dead sender. The registry is re-read on every
+/// lap, since failover registers adopted in-edges mid-run. Nothing here
+/// blocks: a marker that meets a full stage queue stays claimed and is
+/// offered again on the next lap, and once the run stops it gets one
+/// last try.
+struct DrainBackstop {
+    window: Duration,
+    /// Claimed markers still waiting for queue room.
+    unsent: Vec<Arc<InEdge>>,
+}
+
+impl DrainBackstop {
+    fn lap(&mut self, reg: &InEdgeRegistry, stopping: bool) {
+        for ie in reg.read().unwrap_or_else(|p| p.into_inner()).values() {
             if ie.eos_forwarded.load(Ordering::SeqCst) || ie.connected.load(Ordering::Relaxed) {
                 continue;
             }
@@ -1804,16 +1749,127 @@ fn drain_monitor(reg: InEdgeRegistry, stop: Arc<AtomicBool>, window: Duration) {
                 .disconnected_at
                 .lock()
                 .unwrap_or_else(|p| p.into_inner())
-                .map(|since| since.elapsed() >= window)
-                .unwrap_or(false);
+                .is_some_and(|since| since.elapsed() >= self.window);
             if expired && !ie.eos_forwarded.swap(true, Ordering::SeqCst) {
-                push_with_stop(ie, Packet::eos(u32::MAX, 0), &stop);
+                self.unsent.push(Arc::clone(ie));
+            }
+        }
+        let window = self.window;
+        self.unsent.retain(|ie| match ie.data_tx.try_send(Packet::eos(u32::MAX, 0).into()) {
+            Ok(()) => {
+                ie.wake_receiver();
                 ie.reporter.record(
                     LinkEventKind::Drained,
                     format!("no reconnect within {window:?}; injected end-of-stream"),
                 );
+                false
             }
+            Err(TrySendError::Full(_)) => !stopping,
+            Err(TrySendError::Disconnected(_)) => false,
+        });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clock::RealClock;
+
+    /// An in-edge into a stage queue of `capacity`, reporting link
+    /// events on the returned channel, registered as edge 0 of `reg`.
+    fn edge(
+        capacity: usize,
+    ) -> (InEdgeRegistry, Arc<InEdge>, Receiver<Queued>, Receiver<TraceEvent>) {
+        let (data_tx, data_rx) = bounded(capacity);
+        let (trace_tx, trace_rx) = unbounded();
+        let reporter = LinkReporter {
+            recorder: Arc::new(ChannelRecorder { tx: trace_tx }),
+            clock: Arc::new(RealClock::anchored_now()),
+            link: "up->down".into(),
+            node: "w".into(),
+        };
+        let wake = (Arc::new(WakeHub::new()), 0);
+        let (ie, _exc) = InEdge::new(
+            data_tx,
+            Arc::default(),
+            wake,
+            true,
+            None,
+            reporter,
+            DeliveryStats::default(),
+            0,
+            0,
+        );
+        let reg: InEdgeRegistry = Arc::new(RwLock::new(HashMap::from([(0, Arc::clone(&ie))])));
+        (reg, ie, data_rx, trace_rx)
+    }
+
+    fn drained_events(trace: &Receiver<TraceEvent>) -> usize {
+        std::iter::from_fn(|| trace.try_recv().ok())
+            .filter(|e| matches!(e, TraceEvent::Link(l) if l.kind == LinkEventKind::Drained))
+            .count()
+    }
+
+    /// A backstop whose window has passed for every edge already.
+    fn backstop() -> DrainBackstop {
+        DrainBackstop { window: Duration::ZERO, unsent: Vec::new() }
+    }
+
+    #[test]
+    fn an_edge_down_past_the_window_gets_one_marker_and_one_drained_event() {
+        let (reg, _ie, queue, trace) = edge(4);
+        let mut backstop = backstop();
+        for _ in 0..3 {
+            backstop.lap(&reg, false);
         }
-        std::thread::sleep(Duration::from_millis(50));
+        let got: Vec<Queued> = std::iter::from_fn(|| queue.try_recv().ok()).collect();
+        assert_eq!(got.len(), 1, "exactly one marker");
+        assert!(got[0].packet.is_eos());
+        assert_eq!(drained_events(&trace), 1);
+    }
+
+    #[test]
+    fn a_full_stage_queue_gets_the_marker_on_a_later_lap_without_blocking() {
+        let (reg, ie, queue, trace) = edge(1);
+        assert!(ie.data_tx.try_send(Packet::data(0, 0, 1, bytes::Bytes::new()).into()).is_ok());
+        let mut backstop = backstop();
+        let began = Instant::now();
+        backstop.lap(&reg, false);
+        backstop.lap(&reg, false);
+        assert!(began.elapsed() < Duration::from_millis(100), "a lap never waits for room");
+        assert_eq!(drained_events(&trace), 0, "nothing landed yet");
+        assert!(!queue.recv().unwrap().packet.is_eos(), "the data packet came first");
+        backstop.lap(&reg, false);
+        assert!(queue.try_recv().unwrap().packet.is_eos(), "the marker landed once room opened");
+        assert_eq!(drained_events(&trace), 1);
+        backstop.lap(&reg, false);
+        assert!(queue.try_recv().is_err(), "and only once");
+    }
+
+    #[test]
+    fn a_stopping_run_gives_an_unsent_marker_one_last_try() {
+        let (reg, ie, queue, _trace) = edge(1);
+        assert!(ie.data_tx.try_send(Packet::data(0, 0, 1, bytes::Bytes::new()).into()).is_ok());
+        let mut backstop = backstop();
+        backstop.lap(&reg, true);
+        assert!(backstop.unsent.is_empty(), "given up after the try");
+        queue.recv().unwrap();
+        backstop.lap(&reg, true);
+        assert!(queue.try_recv().is_err(), "the claim is not retried");
+    }
+
+    #[test]
+    fn a_connected_or_forwarded_edge_gets_nothing() {
+        let (reg, ie, queue, trace) = edge(4);
+        let (reg2, ie2, queue2, trace2) = edge(4);
+        ie.connected.store(true, Ordering::Relaxed);
+        ie2.eos_forwarded.store(true, Ordering::SeqCst);
+        let mut backstop = backstop();
+        for _ in 0..3 {
+            backstop.lap(&reg, false);
+            backstop.lap(&reg2, false);
+        }
+        assert!(queue.try_recv().is_err() && queue2.try_recv().is_err());
+        assert_eq!(drained_events(&trace) + drained_events(&trace2), 0);
     }
 }

@@ -7,14 +7,14 @@
 //!
 //! * each pool worker (`gates-exec-N`) owns a FIFO run queue plus a LIFO
 //!   wake slot; idle workers steal from the back of their peers' queues;
-//! * a shared [`timer::TimerWheel`] (1 ms granularity, `gates-timer`
-//!   driver thread) turns every wait for a peer ([`Step::Wait`]: an
-//!   empty input queue, a full output queue) and every park longer than
-//!   one granularity (source `next_poll`, token-bucket pacing) into a
-//!   timed re-enqueue, so a waiting stage costs no core at all and the
-//!   peer's wake ends the wait. A task keeps at most one armed wheel
-//!   entry (see the timer module), so re-waiting on every empty poll
-//!   costs no driver wake;
+//! * a shared [`timer::TimerWheel`] (1 ms granularity) turns every wait
+//!   for a peer ([`Step::Wait`]: an empty input queue, a full output
+//!   queue) and every park longer than one granularity (source
+//!   `next_poll`, token-bucket pacing) into a timed re-enqueue, so a
+//!   waiting stage costs no core at all and the peer's wake ends the
+//!   wait. No thread drives the wheel: the pool workers fire it
+//!   themselves (see the timer module), and a task keeps at most one
+//!   armed entry, so re-waiting on every empty poll costs nothing;
 //! * a park of one granularity or less — fast token buckets, tight poll
 //!   loops — is slept inline on the pool worker. A wake cannot cut such
 //!   a sleep short; it only makes the task run again right after it;
@@ -36,9 +36,11 @@
 //! sockets it feeds and the acks it returns share one thread. A task
 //! pushed from another thread writes the sleeping worker's eventfd; a
 //! notify a step makes to its own worker's reactor only sets a flag, and
-//! the worker services it right after the step. A busy worker also
-//! polls readiness (`epoll_wait(0)`) once per timer granularity at
-//! most, and an inline sleep services ready sockets before and after.
+//! the worker services it right after the step. An idle worker's
+//! `epoll_wait` times out at its nearest timer deadline. A busy worker
+//! also polls readiness (`epoll_wait(0)`) once per timer granularity at
+//! most, and an inline sleep services ready sockets before and after;
+//! each of these turns fires the timers due by then.
 //!
 //! **Yield after a flush.** A worker in a closed loop never blocks, so
 //! the process its flushed bytes wake may wait for the kernel to preempt
@@ -80,8 +82,8 @@ pub(crate) fn note_sender_ping() {
     PINGED_SENDER.with(|w| w.set(true));
 }
 
-/// State shared by the pool handle, its workers, the timer driver, and
-/// (via `Weak`) every task.
+/// State shared by the pool handle, its workers, and (via `Weak`) every
+/// task.
 pub(crate) struct Shared {
     pub(super) queues: queue::Queues,
     pub(super) timers: timer::TimerWheel,
@@ -98,6 +100,14 @@ impl Shared {
     pub(super) fn enqueue(&self, task: Arc<Task>) {
         self.queues.push_woken(task);
     }
+
+    /// Fire the timers due now from worker `idx`, waking a sleeper to
+    /// cover the next deadline when none does (timer module docs).
+    fn fire_timers(&self, idx: usize) {
+        if let Some(sleeper) = self.timers.fire(idx, Instant::now()) {
+            self.queues.wake(sleeper);
+        }
+    }
 }
 
 /// A fixed pool of executor threads hosting stage activations.
@@ -111,12 +121,11 @@ pub(crate) struct CorePool {
     shared: Arc<Shared>,
     reactors: Vec<Reactor>,
     workers: Vec<JoinHandle<()>>,
-    timer_driver: Option<JoinHandle<()>>,
 }
 
 impl CorePool {
     /// Spin up `cores` worker threads (clamped to at least 1), each
-    /// driving a reactor of its own, plus the timer driver.
+    /// driving a reactor of its own.
     pub(crate) fn new(cores: usize) -> Self {
         let cores = cores.max(1);
         let pool_id = NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed);
@@ -125,7 +134,7 @@ impl CorePool {
             .unzip();
         let shared = Arc::new(Shared {
             queues: queue::Queues::new(pool_id, &reactors),
-            timers: timer::TimerWheel::new(),
+            timers: timer::TimerWheel::new(cores),
             hub: Arc::new(WakeHub::new()),
             shutdown: AtomicBool::new(false),
             activations: AtomicU64::new(0),
@@ -142,12 +151,7 @@ impl CorePool {
                     .expect("spawn executor worker")
             })
             .collect();
-        let timer_shared = Arc::clone(&shared);
-        let timer_driver = std::thread::Builder::new()
-            .name("gates-timer".into())
-            .spawn(move || timer_shared.timers.drive())
-            .expect("spawn timer driver");
-        CorePool { shared, reactors, workers, timer_driver: Some(timer_driver) }
+        CorePool { shared, reactors, workers }
     }
 
     /// The reactor each worker drives, in worker order. Sources
@@ -177,8 +181,8 @@ impl CorePool {
         handle
     }
 
-    /// Stop and join every pool thread (workers and timer driver),
-    /// dropping every source registered on the workers' reactors.
+    /// Stop and join every pool worker, dropping every source registered
+    /// on their reactors.
     /// Callers are expected to have joined all [`TaskHandle`]s first —
     /// shutdown does not wait for unfinished activations. Dropping the
     /// pool does the same, so early error returns cannot leak threads.
@@ -191,10 +195,6 @@ impl Drop for CorePool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.queues.notify_all();
-        self.shared.timers.shutdown();
-        if let Some(t) = self.timer_driver.take() {
-            let _ = t.join();
-        }
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -204,7 +204,8 @@ impl Drop for CorePool {
 /// One pool worker: pop (LIFO slot → local FIFO → injector → steal),
 /// run one activation step, requeue or park per its verdict, service
 /// the reactor, and yield after a flush when due (module docs); with
-/// nothing to run, sleep in the reactor.
+/// nothing to run, sleep in the reactor until the nearest timer
+/// deadline. Every turn fires the timers due by then.
 fn worker_loop(shared: &Arc<Shared>, idx: usize, mut driver: Driver) {
     queue::set_current_worker(shared.queues.pool_id(), idx);
     driver.attach();
@@ -215,13 +216,17 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize, mut driver: Driver) {
         tick = tick.wrapping_add(1);
         let task = match shared.queues.pop(idx, tick) {
             Some(task) => task,
-            None => match shared.queues.idle(idx, tick, &mut driver) {
-                Some(task) => task,
-                None => {
-                    polled = Instant::now();
-                    continue;
+            None => {
+                let plan = || shared.timers.plan_sleep(idx, Instant::now());
+                match shared.queues.idle(idx, tick, &mut driver, plan) {
+                    Some(task) => task,
+                    None => {
+                        shared.fire_timers(idx);
+                        polled = Instant::now();
+                        continue;
+                    }
                 }
-            },
+            }
         };
         PINGED_SENDER.with(|w| w.set(false));
         let waited = run_one(shared, idx, task, &mut driver);
@@ -235,10 +240,16 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize, mut driver: Driver) {
         if waited {
             polled = now;
         } else if now.duration_since(polled) >= GRANULARITY {
-            driver.turn(Some(Duration::ZERO));
+            poll(shared, idx, &mut driver);
             polled = now;
         }
     }
+}
+
+/// Service ready sockets without waiting, then fire due timers.
+fn poll(shared: &Shared, idx: usize, driver: &mut Driver) {
+    driver.turn(Some(Duration::ZERO));
+    shared.fire_timers(idx);
 }
 
 /// Run one activation step and act on its verdict. Returns whether the
@@ -282,11 +293,11 @@ fn run_one(shared: &Arc<Shared>, idx: usize, task: Arc<Task>, driver: &mut Drive
             // below covers it). A wait that is already over still counts
             // as one: the step asked to wait, so the yield rule has
             // nothing to add.
-            driver.turn(Some(Duration::ZERO));
+            poll(shared, idx, driver);
             let now = Instant::now();
             if until > now {
                 std::thread::sleep(until - now);
-                driver.turn(Some(Duration::ZERO));
+                poll(shared, idx, driver);
             }
             task.requeue_local(shared, idx);
             true
@@ -297,7 +308,9 @@ fn run_one(shared: &Arc<Shared>, idx: usize, task: Arc<Task>, driver: &mut Drive
             // or an external wake will requeue us) or a wake raced in
             // and we requeue immediately (the armed entry then fires
             // early, and the step re-checks).
-            shared.timers.register(until, &task);
+            if let Some(sleeper) = shared.timers.register(until, &task) {
+                shared.queues.wake(sleeper);
+            }
             if !task.try_park() {
                 task.requeue_local(shared, idx);
             }
@@ -309,6 +322,7 @@ fn run_one(shared: &Arc<Shared>, idx: usize, task: Arc<Task>, driver: &mut Drive
 
 #[cfg(test)]
 mod tests {
+    use super::timer::IDLE_CAP;
     use super::*;
     use gates_core::report::StageReport;
     use gates_net::{Directive, Ready, Source, Token};
@@ -495,7 +509,7 @@ mod tests {
         let took = t0.elapsed();
         assert_eq!(ran.load(Ordering::Relaxed), 1);
         assert_eq!(pool.reactors()[0].wakeups(), before + 1, "the push wrote the eventfd");
-        assert!(took < queue::IDLE_CAP, "woken by the push, not the idle cap: {took:?}");
+        assert!(took < IDLE_CAP, "woken by the push, not the idle cap: {took:?}");
         pool.shutdown();
     }
 
@@ -544,5 +558,127 @@ mod tests {
         let (services, wakeups) = seen.lock().unwrap().expect("second step ran");
         assert_eq!(services, 1, "the notify is serviced between the two steps");
         assert_eq!(wakeups, 0, "and made no eventfd write");
+    }
+
+    /// The park a timer test asks for: long enough to go on the wheel.
+    const PARK: Duration = Duration::from_millis(5);
+
+    /// How late a parked task ran past its deadline, at best over three
+    /// attempts (a loaded host may delay any one of them), after checking
+    /// that no attempt ran early.
+    fn best_lateness(attempt: impl Fn() -> (Instant, Instant)) -> Duration {
+        (0..3)
+            .map(|_| {
+                let (until, ran) = attempt();
+                assert!(ran >= until, "fired {:?} before its deadline", until - ran);
+                ran - until
+            })
+            .min()
+            .expect("three attempts")
+    }
+
+    /// `(deadline, second step)` of a task that parks once.
+    type Stamps = Arc<Mutex<(Option<Instant>, Option<Instant>)>>;
+
+    /// Runs `before_park`, parks for [`PARK`], then records when its
+    /// second step ran.
+    struct Stamp<F: FnMut() + Send> {
+        before_park: F,
+        stamps: Stamps,
+    }
+    impl<F: FnMut() + Send> Activation for Stamp<F> {
+        fn step(&mut self) -> Step {
+            let mut stamps = self.stamps.lock().unwrap();
+            if stamps.0.is_some() {
+                stamps.1 = Some(Instant::now());
+                return Step::Done;
+            }
+            drop(stamps);
+            (self.before_park)();
+            let until = Instant::now() + PARK;
+            self.stamps.lock().unwrap().0 = Some(until);
+            Step::Park { until }
+        }
+        fn finish(self: Box<Self>) -> StageReport {
+            StageReport::default()
+        }
+    }
+
+    fn deadline_and_run(stamps: &Stamps) -> (Instant, Instant) {
+        let stamps = stamps.lock().unwrap();
+        (stamps.0.expect("parked"), stamps.1.expect("ran again"))
+    }
+
+    #[test]
+    fn an_idle_worker_fires_a_parked_task_from_its_own_epoll_timeout() {
+        let lateness = best_lateness(|| {
+            let pool = CorePool::new(1);
+            let stamps = Stamps::default();
+            let h = pool.spawn(Box::new(Stamp { before_park: || {}, stamps: stamps.clone() }), 0);
+            while stamps.lock().unwrap().0.is_none() {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            let before = pool.reactors()[0].wakeups();
+            h.join().expect("no panic");
+            assert_eq!(pool.reactors()[0].wakeups(), before, "the fire wrote no eventfd");
+            deadline_and_run(&stamps)
+        });
+        assert!(lateness <= 2 * GRANULARITY, "fired {lateness:?} late");
+    }
+
+    #[test]
+    fn an_idle_peer_fires_a_task_its_busy_worker_parked() {
+        /// Waits for a wake, then runs one ~20 ms step.
+        struct Long {
+            woken: Arc<AtomicBool>,
+        }
+        impl Activation for Long {
+            fn step(&mut self) -> Step {
+                if !self.woken.swap(true, Ordering::SeqCst) {
+                    return Step::Wait { until: Instant::now() + Duration::from_secs(30) };
+                }
+                std::thread::sleep(Duration::from_millis(20));
+                Step::Done
+            }
+            fn finish(self: Box<Self>) -> StageReport {
+                StageReport::default()
+            }
+        }
+        const LONG: u32 = 1;
+        let lateness = best_lateness(|| {
+            let pool = CorePool::new(2);
+            let shared = Arc::clone(&pool.shared);
+            let waiting = Arc::new(AtomicBool::new(false));
+            let long = pool.spawn(Box::new(Long { woken: Arc::clone(&waiting) }), LONG);
+            // Both workers asleep after the long task's first step: it
+            // is parked.
+            while !(waiting.load(Ordering::SeqCst)
+                && shared.timers.is_asleep(0)
+                && shared.timers.is_asleep(1))
+            {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            let hub = pool.hub();
+            // Wake the long task into this worker's LIFO slot, where no
+            // peer may steal it, and park only once the peer that push
+            // woke (clearing its sleeping flag) has published a new plan
+            // to sleep.
+            let before_park = move || {
+                let name = std::thread::current().name().map(str::to_owned);
+                let me: usize =
+                    name.and_then(|n| n.strip_prefix("gates-exec-")?.parse().ok()).unwrap();
+                hub.wake(LONG);
+                let peer = 1 - me;
+                while !(shared.queues.is_sleeping(peer) && shared.timers.is_asleep(peer)) {
+                    std::thread::yield_now();
+                }
+            };
+            let stamps = Stamps::default();
+            let parker = pool.spawn(Box::new(Stamp { before_park, stamps: stamps.clone() }), 0);
+            parker.join().expect("no panic");
+            long.join().expect("no panic");
+            deadline_and_run(&stamps)
+        });
+        assert!(lateness <= 2 * GRANULARITY, "fired {lateness:?} late");
     }
 }

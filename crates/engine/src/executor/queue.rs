@@ -8,12 +8,13 @@
 //! *back* of a victim's FIFO queue — never from the LIFO slot.
 //!
 //! An idle worker sleeps in its own reactor's `epoll_wait`, so socket
-//! readiness wakes it as well as work. It raises its `sleeping` flag,
-//! then looks at every queue once more before it waits; a push raises
-//! nothing itself but, after queueing, clears one sleeper's flag and
-//! writes that worker's eventfd. Both flags are `SeqCst` and every queue
-//! is behind a mutex, so either the sleeper's last look finds the task
-//! or the pusher finds the flag: no wake-up is lost.
+//! readiness wakes it as well as work, and its timeout is its own
+//! planned timer wake (see the timer module). It raises its `sleeping`
+//! flag, then looks at every queue once more before it waits; a push
+//! raises nothing itself but, after queueing, clears one sleeper's flag
+//! and writes that worker's eventfd. Both flags are `SeqCst` and every
+//! queue is behind a mutex, so either the sleeper's last look finds the
+//! task or the pusher finds the flag: no wake-up is lost.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -24,11 +25,6 @@ use std::time::Duration;
 use gates_net::{Driver, Reactor};
 
 use super::task::Task;
-
-/// Longest an idle worker stays in `epoll_wait` without an event: a
-/// safety bound only, since every push and every timer fire wakes a
-/// sleeper explicitly.
-pub(super) const IDLE_CAP: Duration = Duration::from_millis(50);
 
 thread_local! {
     /// `(pool_id, worker_idx)` of the pool worker running on this
@@ -54,8 +50,8 @@ struct Local {
 pub(crate) struct Queues {
     pool_id: u64,
     locals: Box<[Local]>,
-    /// Landing zone for tasks enqueued by non-pool threads (spawns, the
-    /// timer driver, socket bridges).
+    /// Landing zone for tasks enqueued by non-pool threads (spawns, and
+    /// wakes from threads outside the pool).
     injector: Mutex<VecDeque<Arc<Task>>>,
 }
 
@@ -113,9 +109,7 @@ impl Queues {
     /// Every other call (odd `tick`) the injector is polled *first*.
     /// Without that, a task that yields constantly (a stage burning
     /// modeled service time in tick slices) keeps its worker's FIFO
-    /// non-empty forever and timer-fired tasks in the injector starve —
-    /// on a one-core pool this lock-stepped whole pipelines to the
-    /// slowest stage's service rate.
+    /// non-empty forever and tasks woken from other threads starve.
     pub(super) fn pop(&self, worker: usize, tick: u64) -> Option<Arc<Task>> {
         if tick % 2 == 1 {
             if let Some(task) = Self::lock(&self.injector).pop_front() {
@@ -156,6 +150,12 @@ impl Queues {
         }
     }
 
+    /// Wake `worker` out of its reactor wait (a timer registration
+    /// earlier than its planned wake).
+    pub(super) fn wake(&self, worker: usize) {
+        self.locals[worker].reactor.wake();
+    }
+
     /// Wake every worker (shutdown).
     pub(super) fn notify_all(&self) {
         for local in self.locals.iter() {
@@ -163,15 +163,21 @@ impl Queues {
         }
     }
 
-    /// Sleep in the worker's reactor until work, I/O or a reactor
-    /// deadline arrives (module docs). Returns a task found by the last
-    /// look before sleeping.
-    pub(super) fn idle(&self, worker: usize, tick: u64, driver: &mut Driver) -> Option<Arc<Task>> {
+    /// Sleep in the worker's reactor until work, I/O, a reactor deadline
+    /// or the timeout `plan` publishes arrives (module docs). Returns a
+    /// task found by the last look before sleeping.
+    pub(super) fn idle(
+        &self,
+        worker: usize,
+        tick: u64,
+        driver: &mut Driver,
+        plan: impl FnOnce() -> Duration,
+    ) -> Option<Arc<Task>> {
         let sleeping = &self.locals[worker].sleeping;
         sleeping.store(true, Ordering::SeqCst);
         let found = self.pop(worker, tick);
         if found.is_none() {
-            driver.turn(Some(IDLE_CAP));
+            driver.turn(Some(plan()));
         }
         sleeping.store(false, Ordering::SeqCst);
         found

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, Weak};
 use std::time::Instant;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use gates_core::report::StageReport;
 
 use super::Shared;
@@ -154,12 +154,6 @@ impl Task {
         shared.queues.push_local(worker, Arc::clone(self));
     }
 
-    /// Whether a wake has put the task back in line (test probe).
-    #[cfg(test)]
-    pub(super) fn is_queued(&self) -> bool {
-        self.state.load(Ordering::Acquire) == QUEUED
-    }
-
     pub(super) fn activation(&self) -> MutexGuard<'_, Option<Box<dyn Activation>>> {
         self.act.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -174,6 +168,9 @@ impl Task {
     }
 }
 
+/// What a join reports for a stage whose pool shut down first.
+const POOL_GONE: &str = "executor pool shut down before the stage finished";
+
 /// Owner-side handle for one spawned activation, shaped like a thread's
 /// `JoinHandle`.
 pub(crate) struct TaskHandle {
@@ -184,9 +181,17 @@ pub(crate) struct TaskHandle {
 impl TaskHandle {
     /// Block until the stage finishes; `Err` carries a panic message.
     pub(crate) fn join(self) -> Result<StageReport, String> {
-        self.report_rx
-            .recv()
-            .unwrap_or_else(|_| Err("executor pool shut down before the stage finished".into()))
+        self.report_rx.recv().unwrap_or_else(|_| Err(POOL_GONE.into()))
+    }
+
+    /// [`TaskHandle::join`], giving up at `deadline`: `None` while the
+    /// stage still runs then.
+    pub(crate) fn join_by(&self, deadline: Instant) -> Option<Result<StageReport, String>> {
+        match self.report_rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+            Ok(report) => Some(report),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => Some(Err(POOL_GONE.into())),
+        }
     }
 
     /// Whether the stage has delivered its report (never blocks).
@@ -204,7 +209,7 @@ pub(crate) struct WakeHub {
 }
 
 impl WakeHub {
-    pub(super) fn new() -> Self {
+    pub(crate) fn new() -> Self {
         WakeHub { slots: RwLock::new(HashMap::new()) }
     }
 

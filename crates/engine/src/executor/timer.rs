@@ -4,16 +4,18 @@
 //! task in the pool: source `next_poll` delays and token-bucket pacing
 //! longer than one tick, and the one-tick backstop of every stage
 //! waiting for a peer (an empty or a full queue) become entries here
-//! instead of per-thread `thread::sleep`s. A single driver thread
-//! (`gates-timer`) sleeps on a condvar until the nearest deadline, then
-//! wakes every due task.
+//! instead of per-thread `thread::sleep`s. No thread drives the wheel:
+//! each pool worker fires the due entries itself whenever it turns its
+//! reactor — after an idle turn, at its once-per-granularity busy poll,
+//! and around an inline park — so a fired task lands in that worker's
+//! LIFO slot, with no injector push and no eventfd write.
 //!
 //! Entries fire at the first wheel tick at or after their deadline —
 //! never early — and the pool realizes sub-granularity parks inline, so
 //! the 1 ms coarseness never distorts fast pacing.
 //!
-//! Two rules keep a busy pool from waking threads that have nothing to
-//! do:
+//! Three rules keep a busy pool from waking threads that have nothing
+//! to do, and an idle one from firing late:
 //!
 //! * **At most one live entry per task.** A task remembers the tick of
 //!   its armed entry ([`Task::timer_tick`]). A re-park whose deadline
@@ -22,28 +24,35 @@
 //!   woken early. An earlier deadline arms a new entry and *supersedes*
 //!   the old one, which stays in its slot until its tick passes and is
 //!   then dropped without waking anyone.
-//! * **The driver is signalled only when it would otherwise sleep past
-//!   a new deadline.** Before it waits, the driver publishes the tick it
-//!   plans to wake at; a registration signals the condvar only when its
-//!   tick is earlier. While the driver is awake it rescans before
-//!   sleeping again, so no registration needs to signal it.
+//! * **An idle worker sleeps until the nearest live deadline**, at most
+//!   [`IDLE_CAP`]. The wheel keeps a lower bound on that tick, so an
+//!   idle transition reads it instead of scanning slots; only once the
+//!   bound has passed does the next one look ahead, at most one idle
+//!   cap's worth of slots.
+//! * **While a worker sleeps, some sleeper covers the nearest
+//!   deadline.** A worker publishes the tick it plans to wake at under
+//!   the wheel lock before it sleeps. A registration earlier than every
+//!   sleeper's plan wakes one sleeper, and so does a worker that fires
+//!   and leaves the nearest remaining deadline earlier than every
+//!   sleeper's plan. So a worker that parks or fires a task and then
+//!   runs a long step leaves the next fire to an idle peer, on time.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use super::task::Task;
 
 pub(super) const GRANULARITY: Duration = Duration::from_millis(1);
+/// Longest an idle worker stays in `epoll_wait` with nothing due: a
+/// safety bound only, since a push, a ready socket and every earlier
+/// registration wake a sleeper explicitly.
+pub(super) const IDLE_CAP: Duration = Duration::from_millis(50);
 const SLOTS: usize = 256;
-/// Cap on the driver's nap while no timers are armed; an earlier
-/// registration signals the condvar, so this is only a safety bound.
-const IDLE_NAP: Duration = Duration::from_millis(50);
-/// `planned_wake` of a driver that is awake and will rescan the wheel
-/// before it sleeps: no registration is earlier.
-const AWAKE: u64 = 0;
-/// `planned_wake` of a driver with nothing armed: every registration is
-/// earlier.
+/// Ticks an idle worker looks ahead for the nearest deadline: one idle
+/// cap, since it wakes by then anyway.
+const HORIZON: u64 = (IDLE_CAP.as_nanos() / GRANULARITY.as_nanos()) as u64;
+/// `next_tick` while nothing is armed.
 const NEVER: u64 = u64::MAX;
 
 struct Entry {
@@ -67,18 +76,26 @@ struct Inner {
     armed: usize,
     /// Highest absolute tick already fired.
     fired_through: u64,
-    /// The tick the driver will wake at on its own ([`AWAKE`] while it
-    /// runs, [`NEVER`] while nothing live is armed).
-    planned_wake: u64,
-    shutdown: bool,
+    /// No live entry fires before this tick ([`NEVER`] while nothing is
+    /// armed). A lower bound only: the entry it names may have been
+    /// superseded, and once `fired_through` reaches it the next sleeper
+    /// looks ahead afresh.
+    next_tick: u64,
+    /// Per worker, the tick a sleeping worker wakes at on its own;
+    /// `None` while it is awake.
+    planned: Box<[Option<u64>]>,
 }
 
 impl Inner {
+    /// The tick `at` falls in.
+    fn tick_of(&self, at: Instant) -> u64 {
+        (at.saturating_duration_since(self.epoch).as_nanos() / GRANULARITY.as_nanos()) as u64
+    }
+
     /// Remove every entry due at `now` and return the tasks of the live
     /// ones, disarming them.
     fn take_due(&mut self, now: Instant) -> Vec<Arc<Task>> {
-        let now_tick =
-            (now.saturating_duration_since(self.epoch).as_nanos() / GRANULARITY.as_nanos()) as u64;
+        let now_tick = self.tick_of(now);
         let mut due = Vec::new();
         if now_tick <= self.fired_through {
             return due;
@@ -98,9 +115,39 @@ impl Inner {
                 }
             }
             self.armed -= fired;
+            if self.armed == 0 {
+                self.next_tick = NEVER;
+            }
         }
         self.fired_through = now_tick;
         due
+    }
+
+    /// Make sure a sleeper wakes by `tick`: when none plans to, the
+    /// first sleeper's plan moves up to it, and it is returned for the
+    /// caller to wake.
+    fn cover(&mut self, tick: u64) -> Option<usize> {
+        if self.planned.iter().flatten().any(|&wake| wake <= tick) {
+            return None;
+        }
+        let sleeper = self.planned.iter().position(Option::is_some)?;
+        self.planned[sleeper] = Some(tick);
+        Some(sleeper)
+    }
+
+    /// The earliest tick a live entry may fire at, looking ahead at most
+    /// [`HORIZON`] slots once the cached bound has passed.
+    fn nearest(&mut self) -> u64 {
+        if self.next_tick <= self.fired_through {
+            let from = self.fired_through + 1;
+            let wheel = &self.wheel;
+            self.next_tick = (from..from + HORIZON)
+                .find(|&t| {
+                    wheel[(t % SLOTS as u64) as usize].iter().any(|e| e.tick == t && e.live())
+                })
+                .unwrap_or(from + HORIZON);
+        }
+        self.next_tick
     }
 }
 
@@ -126,24 +173,20 @@ fn take_slot(slot: &mut Vec<Entry>, now_tick: u64, due: &mut Vec<Arc<Task>>) -> 
 
 pub(crate) struct TimerWheel {
     inner: Mutex<Inner>,
-    cv: Condvar,
-    /// Condvar signals sent by [`TimerWheel::register`].
-    signals: AtomicU64,
 }
 
 impl TimerWheel {
-    pub(super) fn new() -> Self {
+    /// A wheel fired by `workers` pool workers.
+    pub(super) fn new(workers: usize) -> Self {
         TimerWheel {
             inner: Mutex::new(Inner {
                 epoch: Instant::now(),
                 wheel: (0..SLOTS).map(|_| Vec::new()).collect(),
                 armed: 0,
                 fired_through: 0,
-                planned_wake: NEVER,
-                shutdown: false,
+                next_tick: NEVER,
+                planned: vec![None; workers].into_boxed_slice(),
             }),
-            cv: Condvar::new(),
-            signals: AtomicU64::new(0),
         }
     }
 
@@ -152,85 +195,63 @@ impl TimerWheel {
     }
 
     /// Arm a wake for `task` at the first wheel tick ≥ `until`, unless
-    /// its live entry already fires at or before that tick.
-    pub(super) fn register(&self, until: Instant, task: &Arc<Task>) {
+    /// its live entry already fires at or before that tick. Returns the
+    /// sleeping worker the caller must wake, if every sleeper plans to
+    /// wake after the new tick (module docs).
+    pub(super) fn register(&self, until: Instant, task: &Arc<Task>) -> Option<usize> {
         let mut inner = self.lock();
         let offset = until.saturating_duration_since(inner.epoch);
         let g = GRANULARITY.as_nanos();
         let tick = (offset.as_nanos().div_ceil(g) as u64).max(inner.fired_through + 1);
         let pending = task.timer_tick.load(Ordering::Relaxed);
         if pending != 0 && pending <= tick {
-            return;
+            return None;
         }
         task.timer_tick.store(tick, Ordering::Relaxed);
         inner.wheel[(tick % SLOTS as u64) as usize].push(Entry { tick, task: Arc::clone(task) });
         inner.armed += 1;
-        let signal = tick < inner.planned_wake;
-        if signal {
-            inner.planned_wake = tick;
-        }
-        drop(inner);
-        if signal {
-            self.signals.fetch_add(1, Ordering::Relaxed);
-            self.cv.notify_one();
-        }
+        inner.next_tick = inner.next_tick.min(tick);
+        inner.cover(tick)
     }
 
-    /// Stop the driver; it wakes every still-armed task on the way out
-    /// so nothing stays parked past shutdown.
-    pub(super) fn shutdown(&self) {
-        self.lock().shutdown = true;
-        self.cv.notify_all();
-    }
-
-    /// The driver loop (runs on the dedicated `gates-timer` thread).
-    pub(super) fn drive(&self) {
+    /// Publish that `worker` is about to sleep, and return how long it
+    /// may: until the nearest live deadline, at most [`IDLE_CAP`].
+    pub(super) fn plan_sleep(&self, worker: usize, now: Instant) -> Duration {
         let mut inner = self.lock();
-        loop {
-            inner.planned_wake = AWAKE;
-            if inner.shutdown {
-                let mut leftovers = Vec::new();
-                for slot in inner.wheel.iter_mut() {
-                    take_slot(slot, u64::MAX, &mut leftovers);
-                }
-                inner.armed = 0;
-                drop(inner);
-                for task in &leftovers {
-                    task.wake();
-                }
-                return;
-            }
-
-            let due = inner.take_due(Instant::now());
-            if !due.is_empty() {
-                drop(inner);
-                for task in &due {
-                    task.wake();
-                }
-                inner = self.lock();
-                continue;
-            }
-
-            let next = inner.wheel.iter().flatten().filter(|e| e.live()).map(|e| e.tick).min();
-            inner.planned_wake = next.unwrap_or(NEVER);
-            let nap = match next {
-                None => IDLE_NAP,
-                Some(next_tick) => {
-                    let deadline = inner.epoch
-                        + Duration::from_nanos((GRANULARITY.as_nanos() as u64) * next_tick);
-                    deadline
-                        .saturating_duration_since(Instant::now())
-                        .clamp(Duration::from_micros(100), IDLE_NAP.max(GRANULARITY))
-                }
-            };
-            let (guard, _) = self.cv.wait_timeout(inner, nap).unwrap_or_else(|e| e.into_inner());
-            inner = guard;
+        let next = inner.nearest();
+        // The first tick the capped sleep is sure to have reached.
+        let cap_tick = inner.tick_of(now + IDLE_CAP) + 1;
+        inner.planned[worker] = Some(next.min(cap_tick));
+        if next >= cap_tick {
+            return IDLE_CAP;
         }
+        let deadline = inner.epoch + Duration::from_nanos(GRANULARITY.as_nanos() as u64 * next);
+        deadline.saturating_duration_since(now).min(IDLE_CAP)
     }
 
+    /// Fire, from the awake `worker`, every entry due at `now`: each
+    /// task lands in that worker's LIFO slot. The worker may run a long
+    /// step next, so this returns the sleeping worker the caller must
+    /// wake, if every sleeper plans to wake after the nearest deadline
+    /// left (module docs).
+    pub(super) fn fire(&self, worker: usize, now: Instant) -> Option<usize> {
+        let (due, sleeper) = {
+            let mut inner = self.lock();
+            inner.planned[worker] = None;
+            let due = inner.take_due(now);
+            let next = inner.nearest();
+            (due, inner.cover(next))
+        };
+        for task in &due {
+            task.wake();
+        }
+        sleeper
+    }
+
+    /// Whether `worker` has published a plan to sleep (test probe).
     #[cfg(test)]
-    fn signals(&self) -> u64 {
-        self.signals.load(Ordering::Relaxed)
+    pub(super) fn is_asleep(&self, worker: usize) -> bool {
+        self.lock().planned[worker].is_some()
     }
 
     #[cfg(test)]
@@ -238,7 +259,7 @@ impl TimerWheel {
         self.lock().armed
     }
 
-    /// What the driver would wake if it woke at `now`.
+    /// What a worker would fire if it fired at `now`.
     #[cfg(test)]
     fn fire_at(&self, now: Instant) -> Vec<Arc<Task>> {
         self.lock().take_due(now)
@@ -276,7 +297,7 @@ mod tests {
 
     #[test]
     fn later_repark_keeps_one_entry_that_fires_once() {
-        let wheel = TimerWheel::new();
+        let wheel = TimerWheel::new(1);
         let t0 = Instant::now();
         let task = parked();
         wheel.register(t0 + ms(5), &task);
@@ -292,7 +313,7 @@ mod tests {
 
     #[test]
     fn earlier_deadline_supersedes_and_the_stale_entry_stays_silent() {
-        let wheel = TimerWheel::new();
+        let wheel = TimerWheel::new(1);
         let t0 = Instant::now();
         let task = parked();
         wheel.register(t0 + ms(8), &task);
@@ -307,42 +328,32 @@ mod tests {
     }
 
     #[test]
-    fn only_an_earlier_registration_signals_the_driver() {
-        // No driver thread: its planned wake starts at "never" and moves
-        // only with the registrations that signal it.
-        let wheel = TimerWheel::new();
+    fn a_sleeper_sleeps_to_the_nearest_live_deadline() {
+        let wheel = TimerWheel::new(1);
         let t0 = Instant::now();
-        let (a, b, c) = (parked(), parked(), parked());
-        wheel.register(t0 + ms(50), &a);
-        assert_eq!(wheel.signals(), 1, "first deadline: the driver must learn of it");
-        wheel.register(t0 + ms(80), &b);
-        wheel.register(t0 + ms(90), &a);
-        assert_eq!(wheel.signals(), 1, "later deadlines wait for the planned wake");
-        wheel.register(t0 + ms(20), &c);
-        assert_eq!(wheel.signals(), 2, "an earlier deadline moves the planned wake");
-        wheel.register(t0 + ms(10), &a);
-        assert_eq!(wheel.signals(), 3, "so does an earlier re-park of a parked task");
+        assert_eq!(wheel.plan_sleep(0, t0), IDLE_CAP, "nothing armed: the cap");
+        let (a, b) = (parked(), parked());
+        wheel.register(t0 + ms(20), &a);
+        wheel.register(t0 + ms(9), &b);
+        let nap = wheel.plan_sleep(0, t0);
+        assert!(nap >= ms(9) && nap <= ms(10), "the earlier deadline bounds the nap: {nap:?}");
+        wheel.fire(0, t0 + ms(10));
+        let nap = wheel.plan_sleep(0, t0 + ms(10));
+        assert!(nap >= ms(10) && nap <= ms(11), "then the next one: {nap:?}");
+        wheel.fire(0, t0 + ms(21));
+        assert_eq!(wheel.plan_sleep(0, t0 + ms(21)), IDLE_CAP, "all fired: the cap again");
     }
 
     #[test]
-    fn shutdown_wakes_every_armed_task() {
-        let wheel = Arc::new(TimerWheel::new());
+    fn a_worker_that_fires_hands_the_next_deadline_to_a_sleeper() {
+        let wheel = TimerWheel::new(3);
         let t0 = Instant::now();
-        let tasks: Vec<_> = (0..4).map(|_| parked()).collect();
-        for (i, task) in tasks.iter().enumerate() {
-            wheel.register(t0 + Duration::from_secs(30 + i as u64), task);
-        }
-        // One superseded entry: its task still wakes exactly through the
-        // live one.
-        wheel.register(t0 + Duration::from_secs(20), &tasks[3]);
-        let driver = {
-            let wheel = Arc::clone(&wheel);
-            std::thread::spawn(move || wheel.drive())
-        };
-        wheel.shutdown();
-        driver.join().expect("driver exits cleanly");
-        for task in &tasks {
-            assert!(task.is_queued(), "every parked task is woken on shutdown");
-        }
+        wheel.plan_sleep(1, t0);
+        wheel.plan_sleep(2, t0);
+        let (x, y) = (parked(), parked());
+        assert_eq!(wheel.register(t0 + ms(5), &x), Some(1), "no sleeper covered x");
+        assert_eq!(wheel.register(t0 + ms(10), &y), None, "worker 1 wakes before y is due");
+        assert_eq!(wheel.fire(1, t0 + ms(6)), Some(2), "worker 1 runs x: worker 2 covers y");
+        assert_eq!(wheel.fire(2, t0 + ms(11)), None, "nothing left to cover");
     }
 }

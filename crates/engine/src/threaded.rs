@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, unbounded, Sender};
 
 use gates_core::report::RunReport;
 use gates_core::trace::{RunMeta, TraceEvent};
@@ -76,11 +76,11 @@ impl ThreadedEngine {
         // One observed-time source shared by every stage of the run, so
         // their trace timestamps have a common zero.
         let clock = self.opts.run_clock();
-        // Engine-wide stop flag, set by the watchdog alongside the
-        // `Control::Stop` messages. Workers poll it from inside blocking
-        // sends and service sleeps, where a control message alone could
-        // arrive too late (or never, if the worker is wedged in a send
-        // into a full queue).
+        // Engine-wide stop flag, set when the budget runs out alongside
+        // the `Control::Stop` messages. Workers poll it from inside
+        // blocking sends and service sleeps, where a control message
+        // alone could arrive too late (or never, if the worker is wedged
+        // in a send into a full queue).
         let stop = Arc::new(AtomicBool::new(false));
 
         if self.opts.recorder.enabled() {
@@ -185,34 +185,24 @@ impl ThreadedEngine {
         drop(data_rx);
         drop(ctl_rx);
 
-        // Watchdog: broadcast Stop when the budget elapses. The done
-        // channel wakes it early once every stage has reported, so it
-        // can be joined instead of leaking for up to the full budget.
-        let budget = Duration::from_secs_f64(self.opts.max_time.as_secs_f64());
-        let watchdog_ctl: Vec<Sender<Control>> = ctl_tx.clone();
-        drop(ctl_tx);
-        let watchdog_stop = Arc::clone(&stop);
-        let (done_tx, done_rx) = bounded::<()>(1);
-        let watchdog = std::thread::Builder::new()
-            .name("gates-watchdog".into())
-            .spawn(move || {
-                if matches!(done_rx.recv_timeout(budget), Err(RecvTimeoutError::Timeout)) {
-                    watchdog_stop.store(true, Ordering::Relaxed);
-                    for c in &watchdog_ctl {
+        // Wait out the budget here: a stage still running when it
+        // elapses gets the stop flag and one `Control::Stop`, and the
+        // rest are then joined as they wind down. Every report is
+        // collected before any panic propagates, so the pool shutdown
+        // always runs.
+        let deadline = Instant::now() + Duration::from_secs_f64(self.opts.max_time.as_secs_f64());
+        let mut results = Vec::with_capacity(n);
+        for handle in task_handles {
+            let result = handle.join_by(deadline).unwrap_or_else(|| {
+                if !stop.swap(true, Ordering::Relaxed) {
+                    for c in &ctl_tx {
                         let _ = c.send(Control::Stop);
                     }
                 }
-            })
-            .map_err(|e| EngineError::WorkerPanic(e.to_string()))?;
-
-        // Collect every report before propagating any panic, so cleanup
-        // (watchdog join, pool shutdown) always runs.
-        let mut results: Vec<Result<gates_core::report::StageReport, String>> = Vec::new();
-        for handle in task_handles {
-            results.push(handle.join());
+                handle.join()
+            });
+            results.push(result);
         }
-        drop(done_tx); // disconnect wakes the watchdog without stopping anything
-        let _ = watchdog.join();
         let events = pool.activations();
         pool.shutdown();
 
@@ -318,7 +308,7 @@ mod tests {
         let opts = RunOptions::default().max_time(SimTime::from_secs_f64(0.3));
         let t0 = Instant::now();
         let report = ThreadedEngine::new(t, &plan, opts).unwrap().run().unwrap();
-        assert!(t0.elapsed().as_secs_f64() < 3.0, "watchdog must stop the run");
+        assert!(t0.elapsed().as_secs_f64() < 3.0, "the budget must stop the run");
         assert!(report.stage("sink").unwrap().packets_in > 0);
     }
 

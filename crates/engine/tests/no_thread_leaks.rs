@@ -1,6 +1,5 @@
-//! A default threaded run must leave no detached threads behind — no
-//! `gates-watchdog` (it used to be spawned detached and leaked once per
-//! run), no `gates-exec-*` pool workers, no `gates-timer` driver.
+//! A default threaded run must leave no detached threads behind: no
+//! `gates-exec-*` pool workers.
 //!
 //! This lives in its own single-test integration binary on purpose: the
 //! assertion scans every thread in the process, so it cannot share a
@@ -62,18 +61,11 @@ fn runs_leave_no_engine_threads_behind() {
         eprintln!("skipping: /proc scan is Linux-only");
         return;
     }
-    // A clean finish and a budget-stopped run (the watchdog actually
-    // fires): neither may leak.
+    // A clean finish and a budget-stopped run: neither may leak.
     run_once(RunOptions::default().max_time(SimTime::from_secs_f64(20.0)));
     run_once(RunOptions::default().max_time(SimTime::from_secs_f64(0.05)));
 
-    let leaked: Vec<String> = live_thread_names()
-        .into_iter()
-        .filter(|n| {
-            n.starts_with("gates-watchdog")
-                || n.starts_with("gates-exec")
-                || n.starts_with("gates-timer")
-        })
-        .collect();
+    let leaked: Vec<String> =
+        live_thread_names().into_iter().filter(|n| n.starts_with("gates-exec")).collect();
     assert!(leaked.is_empty(), "engine threads survived run(): {leaked:?}");
 }

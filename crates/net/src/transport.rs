@@ -318,120 +318,38 @@ impl FrameStream {
     /// flush. On error the queued bytes are retained, so a caller that
     /// reconnects can carry them to a new stream via
     /// [`FrameStream::take_queued`].
+    ///
+    /// With a fault injector attached, the frames take the chaos fate
+    /// walk of [`FrameStream::flush_nonblocking`]: a `Delay` fate sleeps
+    /// here, and a socket in nonblocking mode that fills up is reported
+    /// as [`std::io::ErrorKind::WouldBlock`]. An injected reset leaves
+    /// the reset frame and everything after it queued for the reconnect.
     pub fn flush_queued(&mut self) -> std::io::Result<()> {
-        if self.wbuf.is_empty() {
-            return Ok(());
-        }
         if self.injector.is_some() {
-            return self.flush_with_faults();
-        }
-        self.stream.write_all(&self.wbuf)?;
-        self.stream.flush()?;
-        self.wbuf.clear();
-        Ok(())
-    }
-
-    /// The chaos flush: walk the queued frames (the length prefix
-    /// delimits them) and apply the injector's per-frame fate. Frames
-    /// after an injected reset stay queued, so the caller's normal
-    /// reconnect path ([`FrameStream::take_queued`] into a new stream)
-    /// carries them over — exactly as it would after a genuine failure.
-    fn flush_with_faults(&mut self) -> std::io::Result<()> {
-        let mut out = BytesMut::with_capacity(self.wbuf.len());
-        let mut cursor = 0usize;
-        let mut reset = false;
-        while cursor + FRAME_HEADER_LEN <= self.wbuf.len() {
-            let len = u32::from_be_bytes([
-                self.wbuf[cursor],
-                self.wbuf[cursor + 1],
-                self.wbuf[cursor + 2],
-                self.wbuf[cursor + 3],
-            ]) as usize;
-            let total = FRAME_HEADER_LEN + len;
-            if cursor + total > self.wbuf.len() {
-                break; // incomplete tail; sent verbatim below
-            }
-            let kind = self.wbuf[cursor + 4];
-            // Data-plane injectors leave control and EOS frames alone: a
-            // dropped EOS is not a fault drill, it is a guaranteed hang.
-            let payload_frame = kind == 0 || kind == 1;
-            let inj = self.injector.as_mut().expect("injector present in chaos flush");
-            let fate = if payload_frame || !inj.payload_only() {
-                inj.next_fate()
-            } else {
-                FaultFate::Deliver
-            };
-            let frame = &self.wbuf[cursor..cursor + total];
-            match fate {
-                FaultFate::Deliver => out.extend_from_slice(frame),
-                FaultFate::Drop => {}
-                FaultFate::Duplicate => {
-                    out.extend_from_slice(frame);
-                    out.extend_from_slice(frame);
-                }
-                FaultFate::Corrupt { len_prefix, bit } => {
-                    let at = out.len();
-                    out.extend_from_slice(frame);
-                    if len_prefix {
-                        // Force an Oversized header: unresyncable, so the
-                        // receiver must poison and reconnect the link.
-                        out[at] ^= 0x80;
-                    } else {
-                        // Flip one bit inside the CRC region: the receiver
-                        // must skip and count exactly this frame.
-                        let bits = ((total - 4) * 8) as u64;
-                        let b = (bit % bits) as usize;
-                        out[at + 4 + b / 8] ^= 1 << (b % 8);
+            loop {
+                match self.flush_nonblocking()? {
+                    FlushProgress::Done => return Ok(()),
+                    FlushProgress::Blocked => return Err(std::io::ErrorKind::WouldBlock.into()),
+                    FlushProgress::Stalled(delay) => {
+                        std::thread::sleep(delay.unwrap_or_default());
+                        self.resume_stall();
                     }
                 }
-                FaultFate::Delay(d) => {
-                    // Push what we have, stall, then resume with this frame.
-                    if !out.is_empty() {
-                        self.stream.write_all(&out)?;
-                        self.stream.flush()?;
-                        out.clear();
-                    }
-                    std::thread::sleep(d);
-                    out.extend_from_slice(frame);
-                }
-                FaultFate::Reset => {
-                    reset = true;
-                    break;
-                }
             }
-            cursor += total;
         }
-        if !reset && cursor < self.wbuf.len() {
-            out.extend_from_slice(&self.wbuf[cursor..]);
-            cursor = self.wbuf.len();
+        if !self.wbuf.is_empty() {
+            self.stream.write_all(&self.wbuf)?;
+            self.stream.flush()?;
+            self.wbuf.clear();
         }
-        let wrote = self.stream.write_all(&out).and_then(|()| self.stream.flush());
-        if reset {
-            // Best-effort delivery of the frames before the reset, then
-            // kill the connection for real. The frame the reset landed on
-            // and everything after it stay queued for the reconnect.
-            let _ = wrote;
-            let _ = self.stream.shutdown(std::net::Shutdown::Both);
-            self.wbuf.advance(cursor);
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::ConnectionReset,
-                "injected connection reset (chaos)",
-            ));
-        }
-        // On a genuine write error the frames already walked cannot be
-        // un-sent; retain only the unwalked remainder for the reconnect.
-        self.wbuf.advance(cursor);
-        wrote?;
-        self.wbuf.clear();
         Ok(())
     }
 
     /// Take the queued-but-unflushed bytes, leaving the buffer empty.
     ///
     /// Bytes staged by [`FrameStream::flush_nonblocking`] are *not*
-    /// included: they already passed the chaos fate walk, so (exactly as
-    /// in the blocking path) they cannot be un-sent and are abandoned
-    /// with the dead connection.
+    /// included: they already passed the chaos fate walk, so they cannot
+    /// be un-sent and are abandoned with the dead connection.
     pub fn take_queued(&mut self) -> BytesMut {
         self.staged.clear();
         self.stalled = false;
@@ -456,15 +374,15 @@ impl FrameStream {
     /// reactor-driven senders; the socket must be in nonblocking mode.
     ///
     /// Writes as much as the socket accepts without blocking, applying
-    /// the chaos fate walk incrementally in frame order — the fate
-    /// sequence (and so the fault trace) is identical to the blocking
-    /// path's, but a `Delay` fate is reported as
-    /// [`FlushProgress::Stalled`] for the caller to turn into a reactor
-    /// deadline instead of a `sleep`, and socket backpressure is
-    /// reported as [`FlushProgress::Blocked`] for the caller to turn
-    /// into write interest. An injected reset shuts the connection down
-    /// and leaves the reset frame and everything after it queued for
-    /// the caller's reconnect path, exactly like the blocking flush.
+    /// the chaos fate walk incrementally in frame order. This is the one
+    /// fate walk: [`FrameStream::flush_queued`] drives it too, so the
+    /// fault trace does not depend on which flush ran. A `Delay` fate is
+    /// reported as [`FlushProgress::Stalled`] for the caller to turn
+    /// into a reactor deadline instead of a `sleep`, and socket
+    /// backpressure is reported as [`FlushProgress::Blocked`] for the
+    /// caller to turn into write interest. An injected reset shuts the
+    /// connection down and leaves the reset frame and everything after
+    /// it queued for the caller's reconnect path.
     pub fn flush_nonblocking(&mut self) -> std::io::Result<FlushProgress> {
         let mut fresh_stall = None;
         loop {
@@ -527,8 +445,7 @@ impl FrameStream {
                 }
                 StageOutcome::Reset => {
                     // Best-effort delivery of the frames before the
-                    // reset, then kill the connection for real, exactly
-                    // like the blocking chaos flush.
+                    // reset, then kill the connection for real.
                     let _ = self.stream.write(&self.staged);
                     self.staged.clear();
                     let _ = self.stream.shutdown(std::net::Shutdown::Both);
@@ -543,7 +460,7 @@ impl FrameStream {
 
     /// Move the frame at the front of `wbuf` into `staged` according to
     /// its chaos fate. Fate indices advance exactly once per frame in
-    /// queue order, so the fault trace matches the blocking walk's.
+    /// queue order, however the flushes that stage them are split.
     fn stage_next_frame(&mut self) -> StageOutcome {
         let avail = self.wbuf.len();
         debug_assert!(avail > 0);
@@ -556,7 +473,7 @@ impl FrameStream {
             0
         };
         if !header_ok || total > avail {
-            // Incomplete tail: send verbatim, as the blocking walk does.
+            // Incomplete tail: send verbatim.
             self.staged.extend_from_slice(&self.wbuf);
             self.wbuf.advance(avail);
             return StageOutcome::Staged;
