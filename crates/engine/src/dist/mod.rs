@@ -43,9 +43,10 @@
 //!
 //! ## Robustness
 //!
-//! A broken data connection is retried with bounded exponential backoff
-//! ([`gates_net::RetryPolicy`]); while dead, the sender parks on its
-//! replay window and re-transmits the unacked tail once the link is
+//! A broken data connection is re-dialed on one jittered exponential
+//! ladder ([`gates_net::RetryPolicy`]), by the same reactor source that
+//! sends, without a thread of its own; while dead, the sender parks on
+//! its replay window and re-transmits the unacked tail once the link is
 //! back (only a link whose re-dial budget runs out gives its retained
 //! frames up as lost; receiver-side queue-full drops stay with the
 //! receiving stage, as in the paper). A receiver
@@ -124,9 +125,13 @@ pub(crate) fn read_ctrl(
 pub struct DistConfig {
     /// Per-attempt TCP connect timeout.
     pub connect_timeout: Duration,
-    /// Socket read timeout used by bridge threads between poll rounds.
+    /// Socket read timeout. Unused since the data plane went
+    /// nonblocking; still carried in the assignment.
     pub read_timeout: Duration,
-    /// Reconnect policy for broken data connections.
+    /// Reconnect ladder for data connections: after `n` failed dials in
+    /// a row the next waits [`RetryPolicy::jittered_delay`]`(n)`, and the
+    /// link is reported dead once `max_attempts` dials in a row have
+    /// failed (it keeps re-dialing until `max_redial` runs out).
     pub retry: RetryPolicy,
     /// How long a receiver waits after a peer EOF (without a clean
     /// end-of-stream marker) before injecting one itself and letting the
@@ -150,10 +155,11 @@ pub struct DistConfig {
     /// checkpoint; zero disables checkpointing (failover then restarts
     /// stages fresh).
     pub checkpoint_every: u64,
-    /// Total wall-clock budget a sender spends re-dialing one endpoint
-    /// (across every reconnect round) before declaring the link
-    /// exhausted: the link goes dead for the rest of the run and the
-    /// event is reported instead of retrying forever.
+    /// Wall-clock budget a sender spends re-dialing one endpoint, counted
+    /// from its first failed dial, before declaring the link exhausted:
+    /// the link stays down until failover moves the receiver, and the
+    /// event is reported once instead of retrying forever. An ack getting
+    /// through, or a moved endpoint, restarts the budget.
     pub max_redial: Duration,
     /// Deterministic fault plan for this run, applied on every data and
     /// control socket by each process. `None` (the default) injects

@@ -1,14 +1,16 @@
 //! Reactor-driven data plane of the distributed worker.
 //!
 //! Every worker socket — the data listener, each accepted in-edge, each
-//! per-edge sender connection, and (after the handshake) the control
-//! link to the coordinator — is a [`Source`] registered on the reactor
-//! of one of the worker's executor pool threads (a [`ReactorPool`] over
-//! the first `--reactors` of them) instead of owning a blocking OS
-//! thread. The reactor watches readiness (level-triggered `epoll`) and
-//! calls each source's `service` exactly when there is something to do;
-//! an idle data plane makes no wakeups beyond the 25 ms exception sweep
-//! on attached in-edges.
+//! remote out-edge's sender, and (after the handshake) the control link
+//! to the coordinator — is a [`Source`] registered on the reactor of one
+//! of the worker's executor pool threads (a [`ReactorPool`] over the
+//! first `--reactors` of them) instead of owning a blocking OS thread.
+//! The reactor watches readiness (level-triggered `epoll`) and calls each
+//! source's `service` exactly when there is something to do; an idle
+//! data plane makes no wakeups beyond the 25 ms exception sweep on
+//! attached in-edges. A sender dials with a nonblocking connect and
+//! waits out its backoff as a socketless source, so no thread ever
+//! blocks in `connect(2)` or sleeps between re-dials.
 //!
 //! Protocol behavior is kept byte-identical to the old thread-per-socket
 //! plane: the same handshake, the same coalescing and reconnect
@@ -22,10 +24,10 @@
 
 use std::collections::VecDeque;
 use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
@@ -34,12 +36,12 @@ use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
 use gates_core::trace::LinkEventKind;
 use gates_core::{Packet, ShardError};
 use gates_net::{
-    encode_frame_into, AckWindow, AppliedFault, BufferPool, Directive, FaultInjector,
+    derive, encode_frame_into, AckWindow, AppliedFault, BufferPool, Directive, FaultInjector,
     FlushProgress, Frame, FrameKind, FrameStream, PooledReader, Reactor, ReactorPool, Ready,
     Source, Token, TransportError,
 };
 
-use super::proto::{decode_ctrl, decode_exception, encode_exception, CtrlMsg};
+use super::proto::{decode_ctrl, decode_exception, encode_ctrl, encode_exception, CtrlMsg};
 use super::worker::{DeliveryStats, InEdge, InEdgeRegistry, LinkReporter};
 use super::DistConfig;
 use crate::executor::WakeHub;
@@ -93,22 +95,54 @@ fn ack_frame(tag: u32, seq: u64) -> Frame {
     Frame { kind: FrameKind::Ack, stream_id: tag, seq, payload: Bytes::new() }
 }
 
+/// No interest in the socket (if any); service again at `at`.
+fn park(at: Option<Instant>) -> Directive {
+    Directive { want_read: false, want_write: false, deadline: at, close: false }
+}
+
 /// Shared list of every registered source's wake handle. Stop and
 /// partition flips nudge all of them so parked sources re-check the
-/// flags instead of waiting out a deadline.
+/// flags instead of waiting out a deadline. Senders re-register under a
+/// new token whenever their socket changes, so they are listed by
+/// their wake handle (which follows them) and the stage they dial.
 #[derive(Clone, Default)]
 pub(super) struct NotifyList {
-    inner: Arc<Mutex<Vec<(Reactor, Token)>>>,
+    inner: Arc<Mutex<Nudges>>,
+}
+
+#[derive(Default)]
+struct Nudges {
+    sources: Vec<(Reactor, Token)>,
+    senders: Vec<(usize, Arc<RemoteWake>)>,
 }
 
 impl NotifyList {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Nudges> {
+        self.inner.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     pub(super) fn add(&self, reactor: Reactor, token: Token) {
-        self.inner.lock().unwrap_or_else(|p| p.into_inner()).push((reactor, token));
+        self.lock().sources.push((reactor, token));
+    }
+
+    /// List the sender behind `wake`, which dials stage `to_stage`.
+    pub(super) fn add_sender(&self, to_stage: usize, wake: Arc<RemoteWake>) {
+        self.lock().senders.push((to_stage, wake));
     }
 
     pub(super) fn notify_all(&self) {
-        for (r, t) in self.inner.lock().unwrap_or_else(|p| p.into_inner()).iter() {
+        let nudges = self.lock();
+        for (r, t) in &nudges.sources {
             r.notify(*t);
+        }
+        for (_, wake) in &nudges.senders {
+            wake.nudge();
+        }
+    }
+
+    fn nudge_senders_to(&self, stage: usize) {
+        for (_, wake) in self.lock().senders.iter().filter(|(to, _)| *to == stage) {
+            wake.nudge();
         }
     }
 }
@@ -608,14 +642,7 @@ impl Source for DataInSource {
                         // Park without read interest: buffered data must
                         // not spin the reactor while we wait for the
                         // edge to register.
-                        None => {
-                            return Directive {
-                                want_read: false,
-                                want_write: false,
-                                deadline: Some(now + LOOKUP_RETRY),
-                                close: false,
-                            }
-                        }
+                        None => return park(Some(now + LOOKUP_RETRY)),
                     }
                 }
                 InState::Attached(ie) => {
@@ -625,12 +652,7 @@ impl Source for DataInSource {
                         // Still backed up: keep the socket unread so the
                         // pressure propagates, retry shortly.
                         let want_write = self.pump_out();
-                        return Directive {
-                            want_read: false,
-                            want_write,
-                            deadline: Some(now + DELIVER_RETRY),
-                            close: false,
-                        };
+                        return Directive { want_write, ..park(Some(now + DELIVER_RETRY)) };
                     }
                     if let Some(seq) = self.held_seq.take() {
                         // The parked delivery landed: its sequence slot
@@ -731,20 +753,13 @@ impl Source for DataInSource {
                         }
                     }
                     if self.held.is_some() {
-                        return Directive {
-                            want_read: false,
-                            want_write,
-                            deadline: Some(now + DELIVER_RETRY),
-                            close: false,
-                        };
+                        return Directive { want_write, ..park(Some(now + DELIVER_RETRY)) };
                     }
                     // Idle: wake on data, sweep for exceptions, acks
                     // (and partition flips) on a coarse timer.
                     return Directive {
-                        want_read: true,
                         want_write,
-                        deadline: Some(now + EXC_SWEEP),
-                        close: false,
+                        ..Directive::read().with_deadline(now + EXC_SWEEP)
                     };
                 }
             }
@@ -764,114 +779,549 @@ impl Source for DataInSource {
     }
 }
 
-/// Why a [`SenderConn`] left the reactor, reported back to its tender
-/// thread (which owns reconnect policy and the redial budget).
-pub(super) enum ConnFate {
-    /// The connection failed (write error or peer EOF before the final
-    /// ack). Nothing is carried over byte-wise: every unacked frame
-    /// lives in the shared replay window, and the tender re-sends from
-    /// there on the next connection.
-    Broken {
-        /// The link's fault injector, so frame indices keep counting.
-        carried: Option<FaultInjector>,
-    },
-    /// An injected partition severed the link.
-    Partitioned {
-        /// The link's fault injector, carried across the outage.
-        carried: Option<FaultInjector>,
-    },
-    /// The bridge channel disconnected and everything flushed: the edge
-    /// is complete.
-    Finished {
-        /// The injector, surrendered for the final fault-log drain.
-        carried: Option<FaultInjector>,
-    },
-    /// Engine stop: flushed what was possible.
-    Stopped,
+/// How long a stopping worker's sender may keep dialing and flushing
+/// (end-of-stream markers, trailing acks) before it gives up.
+const STOP_GRACE: Duration = Duration::from_secs(1);
+
+/// What every remote out-edge sender of one worker shares. The last
+/// sender to end drops the last clone of `_done`.
+pub(super) struct SenderCtx {
+    /// The worker's live view of every stage's data endpoint, rewritten
+    /// by `Reassign` messages through [`SenderCtx::set_endpoint`].
+    pub(super) endpoints: RwLock<Vec<String>>,
+    pub(super) cfg: DistConfig,
+    /// Run seed (or worker-name seed) each edge's backoff jitter derives
+    /// from, so no two links sync their retry storms.
+    pub(super) jitter_root: u64,
+    pub(super) partitioned: Arc<AtomicBool>,
+    pub(super) stop: Arc<AtomicBool>,
+    pub(super) reactors: Arc<ReactorPool>,
+    pub(super) notify: NotifyList,
+    /// Wake hub of the stages writing into the bridges.
+    pub(super) hub: Arc<WakeHub>,
+    pub(super) stats: DeliveryStats,
+    /// Held until the worker's shutdown waits for every sender to end.
+    pub(super) _done: Sender<()>,
 }
 
-/// Sender side of one live remote-edge connection, reactor-driven: it
-/// coalesces bridge-channel packets into single writes (same
-/// [`MAX_COALESCED_BYTES`] batching as the old sender thread), relays
-/// upstream-bound exception frames, and applies the link's seeded fault
-/// injector at exactly the same per-frame points — chaos traces are
-/// bit-identical to the blocking plane's. On any terminal condition it
-/// reports a [`ConnFate`] and leaves the reactor.
-pub(super) struct SenderConn {
+impl SenderCtx {
+    fn endpoint(&self, stage: usize) -> String {
+        // A poisoned table (a panicking reader elsewhere) still holds
+        // valid endpoints; recover instead of cascading the panic.
+        self.endpoints.read().unwrap_or_else(|p| p.into_inner())[stage].clone()
+    }
+
+    /// Move stage `stage` to `endpoint`, waking the senders aimed at it
+    /// so a down one re-dials the replacement at once.
+    pub(super) fn set_endpoint(&self, stage: usize, endpoint: String) {
+        let mut endpoints = self.endpoints.write().unwrap_or_else(|p| p.into_inner());
+        if std::mem::replace(&mut endpoints[stage], endpoint) != endpoints[stage] {
+            drop(endpoints);
+            self.notify.nudge_senders_to(stage);
+        }
+    }
+}
+
+/// The wiring of one remote out-edge, owned by its [`SenderConn`].
+pub(super) struct OutEdge {
+    pub(super) edge: u32,
+    /// Receiving stage index — the key into the placement table.
+    pub(super) to_stage: usize,
+    /// Sequence-space incarnation stamped into the edge hello: zero for
+    /// run-start senders, the failover epoch for adopted ones. The
+    /// receiver resets its cursor when the incarnation changes.
+    pub(super) incarnation: u64,
+    /// The bridge channel the sending stage writes into.
+    pub(super) rx: Receiver<Queued>,
+    /// Control channel of the sending stage (relayed exceptions).
+    pub(super) upstream: Sender<Control>,
+    /// Drop counter of the *sending* stage: packets a link whose
+    /// re-dial budget ran out has no room for.
+    pub(super) drops: Arc<AtomicU64>,
+    pub(super) reporter: LinkReporter,
+    /// Wake key of the sending stage, woken when it is blocked on a full
+    /// bridge and packets were taken.
+    pub(super) producer: u32,
+    /// Acked replay window: frames stay here until the receiver's
+    /// cumulative delivered ack confirms them, and every new connection
+    /// replays from it before sending anything new.
+    pub(super) window: AckWindow,
+}
+
+/// One live connection of a [`SenderConn`].
+struct Conn {
     fs: FrameStream,
-    rx: Receiver<Queued>,
-    upstream: Sender<Control>,
-    partitioned: Arc<AtomicBool>,
-    stop: Arc<AtomicBool>,
-    reporter: LinkReporter,
-    fate: Sender<ConnFate>,
-    wake: Arc<RemoteWake>,
-    /// Wake hub and key of the stage writing into the bridge, woken
-    /// when it is blocked on a full bridge and packets were taken.
-    producer: (Arc<WakeHub>, u32),
-    /// The edge's acked replay window, shared with the tender thread
-    /// (which replays from it across reconnects).
-    window: Arc<Mutex<AckWindow>>,
-    /// Worker-global delivery counters.
-    stats: DeliveryStats,
+    /// The window's delivered cursor when the dial completed: a
+    /// connection that ends with no ack past it was a failed dial.
+    acked_at_dial: u64,
     /// The credit window is full: ingestion is paused and backpressure
     /// is backing the bridge (and the stage behind it) up.
     credit_blocked: bool,
     /// When the current credit stall began, for `stalled_us` accounting.
     stall_started: Option<Instant>,
-    rx_down: bool,
-    /// Peer half-closed: no ack can ever arrive, so the connection is
-    /// finished `Broken` and the tender re-dials to replay.
+    /// Peer half-closed: no ack can ever arrive on this connection.
     peer_eof: bool,
     crc_seen: u64,
     /// An injected delay is pending: flush resumes at this instant.
     stall_until: Option<Instant>,
+}
+
+impl Conn {
+    fn backlog(&self) -> bool {
+        self.fs.queued_len() > 0 || self.fs.has_staged()
+    }
+}
+
+/// Where a [`SenderConn`] is in its connection lifecycle.
+enum Phase {
+    /// No socket. The sender stashes bridge packets into the replay
+    /// window, dials when the retry ladder's next rung is due, and
+    /// otherwise waits for a notify: a partition heal, a moved
+    /// endpoint, stop, or bridge traffic it has room for.
+    Down,
+    /// A nonblocking connect in flight, abandoned at `deadline`.
+    Dialing { fs: FrameStream, deadline: Instant },
+    /// Connected: the hello and the replay went out ahead of new traffic.
+    Live(Conn),
+}
+
+/// Sender side of one remote out-edge, for the edge's whole life, as a
+/// reactor source: it dials with a nonblocking connect, backs off on
+/// one retry ladder, stashes into the replay window while the link is
+/// down, and follows failover to a moved endpoint. While live it
+/// coalesces bridge-channel packets into single writes (up to
+/// [`MAX_COALESCED_BYTES`]), relays upstream-bound exception frames,
+/// and applies the link's seeded fault injector at fixed per-frame
+/// points, so a seed replays the same fault trace.
+///
+/// The ladder: after `n` failed dials in a row the next one waits
+/// `retry.jittered_delay(n)`, capped at `retry.max_delay`. A failed
+/// connect and a connection that ends before any ack gets through both
+/// count as failed dials. A completed connect restarts the count, so a
+/// peer that accepts and drops (a partitioned worker) is re-dialed on
+/// the first rung and reached soon after it heals. `max_redial` runs
+/// from the first failed dial until an ack gets through or failover
+/// moves the endpoint; once spent, the link reports
+/// `ReconnectExhausted` once and stays down until failover moves it.
+///
+/// The reactor polls an fd fixed at registration, so a service that
+/// opens or drops the socket ends by closing the registration, and the
+/// sender registers again under a new token (see [`Registration`]).
+pub(super) struct SenderConn {
+    ctx: Arc<SenderCtx>,
+    edge: OutEdge,
+    /// Emit-path wake handle shared with the sending stage's `OutPort`;
+    /// it always points at the current registration.
+    wake: Arc<RemoteWake>,
+    reactor: Reactor,
+    phase: Phase,
+    /// Bumped whenever the socket changes.
+    socket: u64,
+    /// The socket the last phase change dropped: it is closed only once
+    /// the reactor has stopped polling it.
+    retired: Option<FrameStream>,
+    /// The link's fault injector while no connection holds it: frame
+    /// indices count on across connections.
+    injector: Option<FaultInjector>,
+    /// The endpoint the ladder is dialing.
+    dialed: String,
+    connections: u64,
+    /// Failed dials since the last completed connect.
+    failures: u32,
+    /// The first failed dial since an ack last got through (or the
+    /// endpoint moved): the re-dial budget's clock.
+    first_failure: Option<Instant>,
+    next_dial: Instant,
+    /// The re-dial budget ran out: no dial until the endpoint moves.
+    exhausted: bool,
+    rx_down: bool,
+    /// When the bridge was found closed with frames unacked on a down
+    /// link: the clock on how long the sender waits for failover.
+    closed_at: Option<Instant>,
     stop_deadline: Option<Instant>,
-    done: bool,
+    finished: bool,
+}
+
+/// Record (and clear) the faults an injector applied since last asked.
+fn record_faults(reporter: &LinkReporter, injector: Option<&mut FaultInjector>) {
+    for af in injector.map(FaultInjector::take_log).unwrap_or_default() {
+        let detail = format!("frame {}: {}", af.index, af.fate.name());
+        reporter.record(LinkEventKind::FaultInjected, detail);
+    }
+}
+
+/// A [`SenderConn`]'s current registration, made for the socket the
+/// sender had then. The sender moves to a new registration whenever its
+/// socket changes.
+struct Registration {
+    sender: Option<Box<SenderConn>>,
+    socket: u64,
 }
 
 impl SenderConn {
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn new(
-        fs: FrameStream,
-        rx: Receiver<Queued>,
-        upstream: Sender<Control>,
-        partitioned: Arc<AtomicBool>,
-        stop: Arc<AtomicBool>,
-        reporter: LinkReporter,
-        fate: Sender<ConnFate>,
-        wake: Arc<RemoteWake>,
-        producer: (Arc<WakeHub>, u32),
-        window: Arc<Mutex<AckWindow>>,
-        stats: DeliveryStats,
-    ) -> SenderConn {
-        SenderConn {
-            fs,
-            rx,
-            upstream,
-            partitioned,
-            stop,
-            reporter,
-            fate,
-            wake,
-            producer,
-            window,
-            stats,
-            credit_blocked: false,
-            stall_started: None,
+    /// Put a new out-edge's sender on a pool reactor; it dials at once.
+    /// Returns the wake handle for the sending stage's `OutPort`.
+    pub(super) fn start(ctx: &Arc<SenderCtx>, edge: OutEdge) -> Arc<RemoteWake> {
+        let injector = ctx.cfg.fault.as_ref().map(|p| p.injector_for_link(u64::from(edge.edge)));
+        let dialed = ctx.endpoint(edge.to_stage);
+        let wake = RemoteWake::new();
+        ctx.notify.add_sender(edge.to_stage, Arc::clone(&wake));
+        Box::new(SenderConn {
+            ctx: Arc::clone(ctx),
+            edge,
+            wake: Arc::clone(&wake),
+            reactor: ctx.reactors.pick(),
+            phase: Phase::Down,
+            socket: 0,
+            retired: None,
+            injector,
+            dialed,
+            connections: 0,
+            failures: 0,
+            first_failure: None,
+            next_dial: Instant::now(),
+            exhausted: false,
             rx_down: false,
-            peer_eof: false,
-            crc_seen: 0,
-            stall_until: None,
+            closed_at: None,
             stop_deadline: None,
-            done: false,
+            finished: false,
+        })
+        .register();
+        wake
+    }
+
+    /// Register under a new token, pointing the wake handle at it before
+    /// the reactor can service it: the service may already move the
+    /// sender on to a newer token, which a late install would clobber.
+    fn register(self: Box<Self>) {
+        let reactor = self.reactor.clone();
+        let socket = self.socket;
+        reactor.register_with(|token| {
+            self.wake.install(self.reactor.clone(), token);
+            Box::new(Registration { sender: Some(self), socket })
+        });
+    }
+
+    fn fd(&self) -> RawFd {
+        match &self.phase {
+            Phase::Down => -1,
+            Phase::Dialing { fs, .. } => fs.get_ref().as_raw_fd(),
+            Phase::Live(conn) => conn.fs.get_ref().as_raw_fd(),
         }
     }
 
-    fn finish(&mut self, fate: ConnFate) -> Directive {
-        self.done = true;
-        let _ = self.fate.send(fate);
+    fn step(&mut self, ready: Ready, now: Instant) -> Directive {
+        if self.ctx.stop.load(Ordering::Relaxed) {
+            self.stop_deadline.get_or_insert(now + STOP_GRACE);
+        }
+        match std::mem::replace(&mut self.phase, Phase::Down) {
+            Phase::Down => self.down(now),
+            Phase::Dialing { fs, deadline } => self.dialing(fs, deadline, ready, now),
+            Phase::Live(conn) => self.live(conn, ready, now),
+        }
+    }
+
+    fn finish(&mut self) -> Directive {
+        self.finished = true;
         Directive::close()
+    }
+
+    /// The sender left the reactor for good: surface the faults injected
+    /// on its final frames and detach the emit path's wake.
+    fn wrap_up(&mut self) {
+        record_faults(&self.edge.reporter, self.injector.as_mut());
+        self.wake.clear();
+    }
+
+    /// Drop the current socket (closed once the reactor lets go of it),
+    /// keeping the fault injector for the next connection.
+    fn retire(&mut self, mut fs: FrameStream) {
+        if let Some(inj) = fs.take_fault_injector() {
+            self.injector = Some(inj);
+        }
+        self.retired = Some(fs);
+        self.socket += 1;
+    }
+
+    /// Queue every retained frame past `from` for (re)transmission.
+    fn replay(&self, fs: &mut FrameStream, from: u64, why: &str) {
+        let buf = fs.queue_buffer();
+        let mut n = 0u64;
+        for frame in self.edge.window.replay_from(from) {
+            buf.extend_from_slice(frame);
+            n += 1;
+        }
+        if n > 0 {
+            self.ctx.stats.replayed.fetch_add(n, Ordering::Relaxed);
+            let detail = format!("{n} frames from seq {}{why}", from + 1);
+            self.edge.reporter.record(LinkEventKind::Replayed, detail);
+        }
+    }
+
+    fn reset_ladder(&mut self, now: Instant) {
+        self.failures = 0;
+        self.first_failure = None;
+        self.next_dial = now;
+    }
+
+    /// Count a failed dial and schedule the next one; returns the wait.
+    fn climb(&mut self, now: Instant) -> Duration {
+        let retry = &self.ctx.cfg.retry;
+        self.failures += 1;
+        self.first_failure.get_or_insert(now);
+        let seed = derive(self.ctx.jitter_root, u64::from(self.edge.edge));
+        let delay = retry.jittered_delay(self.failures, seed);
+        self.next_dial = now + delay;
+        if self.failures == retry.max_attempts {
+            self.edge.reporter.record(
+                LinkEventKind::Dead,
+                format!(
+                    "{} dials failed; parking on the replay window, re-dialing until the \
+                     budget ends or failover moves the receiver",
+                    self.failures
+                ),
+            );
+        }
+        delay
+    }
+
+    /// A dial that never connected.
+    fn dial_failed(&mut self, why: impl std::fmt::Display, now: Instant) {
+        let delay = self.climb(now);
+        self.edge.reporter.record(
+            LinkEventKind::Reconnecting,
+            format!("attempt {}: dial {}: {why}; next in {delay:?}", self.failures, self.dialed),
+        );
+    }
+
+    /// Down: follow a moved endpoint, dial when the ladder says so, and
+    /// otherwise absorb the bridge into the replay window. Stop ends a
+    /// down sender at once, unless a dial is due right now (a link that
+    /// broke after acks got through re-dials straight away).
+    fn down(&mut self, now: Instant) -> Directive {
+        let partitioned = self.ctx.partitioned.load(Ordering::Relaxed);
+        if !partitioned {
+            let current = self.ctx.endpoint(self.edge.to_stage);
+            if current != self.dialed {
+                // A new endpoint deserves a fresh budget.
+                self.edge
+                    .reporter
+                    .record(LinkEventKind::Reconnecting, format!("failover re-dial to {current}"));
+                self.dialed = current;
+                self.exhausted = false;
+                self.reset_ladder(now);
+            }
+        }
+        let due = !partitioned && !self.exhausted && now >= self.next_dial;
+        if due && self.first_failure.is_some_and(|t| now >= t + self.ctx.cfg.max_redial) {
+            self.exhausted = true;
+            self.edge.reporter.record(
+                LinkEventKind::ReconnectExhausted,
+                format!(
+                    "re-dial budget {:?} spent on {}; link down until failover",
+                    self.ctx.cfg.max_redial, self.dialed
+                ),
+            );
+        }
+        let due = due && !self.exhausted;
+        if let Some(limit) = self.stop_deadline {
+            if !due || now >= limit {
+                return self.finish();
+            }
+        }
+        self.absorb();
+        let mut give_up = None;
+        if self.rx_down {
+            // The stream has ended with frames stranded on a dead link.
+            // Failover gets one drain window to move the receiver so the
+            // replay lands at the replacement; after that the frames are
+            // lost with the link and the receiver's backstop closes the
+            // stream out.
+            let unacked = self.edge.window.in_flight();
+            if unacked == 0 {
+                return self.finish();
+            }
+            let at = *self.closed_at.get_or_insert(now) + self.ctx.cfg.drain_window;
+            if now >= at {
+                self.ctx.stats.lost.fetch_add(unacked as u64, Ordering::Relaxed);
+                self.edge.reporter.record(
+                    LinkEventKind::Dead,
+                    format!("{unacked} unacked frames lost with the link"),
+                );
+                return self.finish();
+            }
+            give_up = Some(at);
+        }
+        if due {
+            let dialed = self.dialed.parse::<SocketAddr>().map_err(|e| e.to_string());
+            match dialed.and_then(|addr| gates_net::dial(&addr).map_err(|e| e.to_string())) {
+                Ok(socket) => {
+                    let deadline = now + self.ctx.cfg.connect_timeout;
+                    self.phase = Phase::Dialing { fs: FrameStream::new(socket), deadline };
+                    self.socket += 1;
+                    return park(None);
+                }
+                Err(why) => self.dial_failed(why, now),
+            }
+        }
+        let room = self.edge.window.in_flight() < self.ctx.cfg.ack_window;
+        if !self.rx_down && (self.exhausted || room) {
+            // More bridge traffic can be absorbed: have the stage's next
+            // emit wake us.
+            self.wake.arm();
+            if !self.edge.rx.is_empty() {
+                self.wake.ping();
+            }
+        }
+        let redial = (!partitioned && !self.exhausted).then_some(self.next_dial);
+        park(redial.into_iter().chain(give_up).min())
+    }
+
+    /// Stamp and retain bridge packets in the replay window while the
+    /// link is down; they ride to the receiver with the next
+    /// connection's replay. The window takes up to `ack_window` in
+    /// flight, whatever the edge's credit, so an outage absorbs as much
+    /// as it is sized for. A full window leaves packets in the bridge,
+    /// pushing back on the stage — unless the re-dial budget is spent:
+    /// then no reconnect is coming, failover is the only way out, and
+    /// what the window cannot hold is dropped and counted lost so the
+    /// stage behind it is not wedged.
+    fn absorb(&mut self) {
+        if self.rx_down {
+            return;
+        }
+        let (ctx, edge) = (&self.ctx, &mut self.edge);
+        let win = &mut edge.window;
+        let mut taken = false;
+        loop {
+            let room = win.in_flight() < ctx.cfg.ack_window;
+            if !room && !self.exhausted {
+                break;
+            }
+            match edge.rx.try_recv() {
+                Ok(Queued { packet, .. }) => {
+                    taken = true;
+                    if room {
+                        let seq = win.next_seq();
+                        let mut buf = BytesMut::new();
+                        packet.encode_into_with_seq(seq, &mut buf);
+                        win.push(buf.freeze());
+                    } else if !packet.is_eos() {
+                        edge.drops.fetch_add(1, Ordering::Relaxed);
+                        ctx.stats.lost.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => {
+                    self.rx_down = true;
+                    break;
+                }
+            }
+        }
+        if taken && self.wake.take_blocked() {
+            ctx.hub.wake(edge.producer);
+        }
+    }
+
+    /// Dialing: the handshake ends when the socket turns writable;
+    /// `SO_ERROR` tells a connection from a failure.
+    fn dialing(
+        &mut self,
+        fs: FrameStream,
+        deadline: Instant,
+        ready: Ready,
+        now: Instant,
+    ) -> Directive {
+        if self.ctx.partitioned.load(Ordering::Relaxed) {
+            return self.cut(fs, now);
+        }
+        if self.stop_deadline.is_some_and(|limit| now >= limit) {
+            self.retire(fs);
+            return self.finish();
+        }
+        let failed = if ready.writable {
+            match fs.get_ref().take_error() {
+                Ok(None) => return self.connected(fs, now),
+                Ok(Some(e)) | Err(e) => Some(e.to_string()),
+            }
+        } else {
+            (now >= deadline).then(|| "connect timed out".to_string())
+        };
+        if let Some(why) = failed {
+            self.retire(fs);
+            self.dial_failed(why, now);
+            return park(None);
+        }
+        let wake_at = self.stop_deadline.map_or(deadline, |limit| limit.min(deadline));
+        self.phase = Phase::Dialing { fs, deadline };
+        Directive { want_write: true, ..park(Some(wake_at)) }
+    }
+
+    /// The dial completed: queue the edge hello and then everything past
+    /// the receiver's delivered cursor ahead of any new traffic; the
+    /// receiver dedups whatever its cursor already covers.
+    fn connected(&mut self, mut fs: FrameStream, now: Instant) -> Directive {
+        let edge = &self.edge;
+        fs.queue(&encode_ctrl(&CtrlMsg::EdgeHello {
+            edge: edge.edge,
+            incarnation: edge.incarnation,
+        }));
+        fs.set_fault_injector(self.injector.take());
+        let from = edge.window.delivered();
+        self.replay(&mut fs, from, " on reconnect");
+        let kind = if self.connections == 0 {
+            LinkEventKind::Connected
+        } else {
+            LinkEventKind::Reconnected
+        };
+        edge.reporter.record(kind, self.dialed.clone());
+        self.connections += 1;
+        self.failures = 0;
+        let conn = Conn {
+            fs,
+            acked_at_dial: from,
+            credit_blocked: false,
+            stall_started: None,
+            peer_eof: false,
+            crc_seen: 0,
+            stall_until: None,
+        };
+        self.live(conn, Ready::default(), now)
+    }
+
+    /// An injected partition severed the socket: stay down until the
+    /// window heals, whose notify re-dials.
+    fn cut(&mut self, fs: FrameStream, now: Instant) -> Directive {
+        self.retire(fs);
+        self.next_dial = now;
+        self.edge.reporter.record(LinkEventKind::Dead, "injected partition cut");
+        park(None)
+    }
+
+    /// The connection ended: a partition cut or a break. An ack getting
+    /// through resets the ladder; a break without one is a failed dial.
+    fn lose(&mut self, conn: Conn, now: Instant) -> Directive {
+        let acked = self.edge.window.delivered() > conn.acked_at_dial;
+        if acked {
+            self.reset_ladder(now);
+        }
+        if self.ctx.partitioned.load(Ordering::Relaxed) {
+            return self.cut(conn.fs, now);
+        }
+        self.retire(conn.fs);
+        if !acked {
+            let delay = self.climb(now);
+            self.edge
+                .reporter
+                .record(LinkEventKind::Dead, format!("broke before any ack; re-dial in {delay:?}"));
+        }
+        park(None)
+    }
+
+    /// End the sender with its connection (complete or stopped).
+    fn end(&mut self, conn: Conn) -> Directive {
+        self.retire(conn.fs);
+        self.finish()
     }
 
     /// Encode waiting bridge packets into the write buffer (stamping
@@ -879,36 +1329,37 @@ impl SenderConn {
     /// in the replay window), up to the coalescing cap, the credit
     /// window, or the end-of-stream marker; then wake the stage if it is
     /// parked on the bridge.
-    fn ingest(&mut self) {
+    fn ingest(&mut self, conn: &mut Conn) {
         if self.rx_down {
             return;
         }
-        let mut win = self.window.lock().unwrap_or_else(|p| p.into_inner());
-        if self.credit_blocked && !win.is_full() {
-            self.credit_blocked = false;
-            if let Some(at) = self.stall_started.take() {
+        let (ctx, edge) = (&self.ctx, &mut self.edge);
+        let win = &mut edge.window;
+        if conn.credit_blocked && !win.is_full() {
+            conn.credit_blocked = false;
+            if let Some(at) = conn.stall_started.take() {
                 let us = at.elapsed().as_micros() as u64;
-                self.stats.stalled_us.fetch_add(us, Ordering::Relaxed);
-                self.reporter
+                ctx.stats.stalled_us.fetch_add(us, Ordering::Relaxed);
+                edge.reporter
                     .record(LinkEventKind::Stalled, format!("credit window full for {us} us"));
             }
         }
         let mut taken = false;
-        while self.fs.queued_len() < MAX_COALESCED_BYTES {
+        while conn.fs.queued_len() < MAX_COALESCED_BYTES {
             if win.is_full() {
                 // Out of credit: stop consuming so the bridge (and the
                 // stage behind it) backs up — that is the backpressure.
-                if !self.credit_blocked {
-                    self.credit_blocked = true;
-                    self.stall_started = Some(Instant::now());
+                if !conn.credit_blocked {
+                    conn.credit_blocked = true;
+                    conn.stall_started = Some(Instant::now());
                 }
                 break;
             }
-            match self.rx.try_recv() {
+            match edge.rx.try_recv() {
                 Ok(Queued { packet, .. }) => {
                     taken = true;
                     let seq = win.next_seq();
-                    let buf = self.fs.queue_buffer();
+                    let buf = conn.fs.queue_buffer();
                     let start = buf.len();
                     packet.encode_into_with_seq(seq, buf);
                     win.push(Bytes::from(buf[start..].to_vec()));
@@ -925,24 +1376,21 @@ impl SenderConn {
                 }
             }
         }
-        drop(win);
         if taken && self.wake.take_blocked() {
-            let (hub, key) = &self.producer;
-            hub.wake(*key);
+            ctx.hub.wake(edge.producer);
         }
     }
 
     /// Apply one ack frame from the receiver to the replay window.
-    fn on_ack(&mut self, f: &Frame) {
-        let mut win = self.window.lock().unwrap_or_else(|p| p.into_inner());
+    fn on_ack(&mut self, conn: &mut Conn, f: &Frame) {
+        let (win, reporter) = (&mut self.edge.window, &self.edge.reporter);
         match f.stream_id {
             ACK_DELIVERED => {
                 win.ack_delivered(f.seq);
             }
             ACK_DURABLE => {
                 win.ack_durable(f.seq);
-                self.reporter
-                    .record(LinkEventKind::Acked, format!("durable through seq {}", f.seq));
+                reporter.record(LinkEventKind::Acked, format!("durable through seq {}", f.seq));
             }
             ACK_NAK => {
                 // The receiver is missing `seq + 1`: everything retained
@@ -951,28 +1399,16 @@ impl SenderConn {
                 // skip it.
                 let floor = win.floor();
                 if floor > f.seq {
-                    encode_frame_into(&ack_frame(ACK_SKIP, floor), self.fs.queue_buffer());
-                    self.reporter.record(
+                    encode_frame_into(&ack_frame(ACK_SKIP, floor), conn.fs.queue_buffer());
+                    reporter.record(
                         LinkEventKind::Skipped,
                         format!("NAK at {} below retention floor {floor}", f.seq),
                     );
                 }
                 // Replay only into a draining buffer: a blocked socket
                 // re-requests naturally via the receiver's next NAK.
-                if self.fs.queued_len() < MAX_COALESCED_BYTES {
-                    let from = floor.max(f.seq);
-                    let mut n = 0u64;
-                    for b in win.replay_from(from) {
-                        self.fs.queue_buffer().extend_from_slice(b);
-                        n += 1;
-                    }
-                    if n > 0 {
-                        self.stats.replayed.fetch_add(n, Ordering::Relaxed);
-                        self.reporter.record(
-                            LinkEventKind::Replayed,
-                            format!("{n} frames from seq {}", from + 1),
-                        );
-                    }
+                if conn.fs.queued_len() < MAX_COALESCED_BYTES {
+                    self.replay(&mut conn.fs, floor.max(f.seq), "");
                 }
             }
             _ => {}
@@ -982,163 +1418,129 @@ impl SenderConn {
     /// Relay exception frames from the remote downstream stage into the
     /// sending stage's control channel, and apply ack frames to the
     /// replay window.
-    fn read_upstream(&mut self) {
+    fn read_upstream(&mut self, conn: &mut Conn) {
         loop {
-            match self.fs.read_frame() {
+            match conn.fs.read_frame() {
                 Ok(Some(f)) if f.kind == FrameKind::Exception => {
                     if let Ok(e) = decode_exception(&f) {
-                        let _ = self.upstream.send(Control::Exception(e));
+                        let _ = self.edge.upstream.send(Control::Exception(e));
                     }
                 }
-                Ok(Some(f)) if f.kind == FrameKind::Ack => self.on_ack(&f),
+                Ok(Some(f)) if f.kind == FrameKind::Ack => self.on_ack(conn, &f),
                 Ok(Some(_)) => {}
                 Err(TransportError::TimedOut) => break,
                 Ok(None) | Err(TransportError::Io(_)) => {
-                    self.peer_eof = true;
+                    conn.peer_eof = true;
                     break;
                 }
             }
         }
     }
 
-    fn report_faults(&mut self) {
-        if let Some(inj) = self.fs.fault_injector_mut() {
-            for af in inj.take_log() {
-                self.reporter.record(
-                    LinkEventKind::FaultInjected,
-                    format!("frame {}: {}", af.index, af.fate.name()),
-                );
-            }
+    fn report_faults(&self, conn: &mut Conn) {
+        let reporter = &self.edge.reporter;
+        record_faults(reporter, conn.fs.fault_injector_mut());
+        let crc = conn.fs.crc_failures();
+        if crc > conn.crc_seen {
+            reporter.record(LinkEventKind::CrcDrop, format!("{crc} corrupted frames total"));
+            conn.crc_seen = crc;
         }
-        let crc = self.fs.crc_failures();
-        if crc > self.crc_seen {
-            self.reporter.record(LinkEventKind::CrcDrop, format!("{crc} corrupted frames total"));
-            self.crc_seen = crc;
-        }
-    }
-
-    fn backlog(&self) -> bool {
-        self.fs.queued_len() > 0 || self.fs.has_staged()
     }
 
     /// Ingest + flush until dry, blocked, stalled, out of credit, or
-    /// broken. `Some` carries the terminal directive for a broken link.
-    fn pump(&mut self, now: Instant) -> Option<Directive> {
+    /// broken. `false` means the send failed.
+    fn pump(&mut self, conn: &mut Conn, now: Instant) -> bool {
         loop {
-            self.ingest();
-            match self.fs.flush_nonblocking() {
+            self.ingest(conn);
+            match conn.fs.flush_nonblocking() {
                 Ok(FlushProgress::Done) => {
-                    if self.rx_down || self.credit_blocked || self.rx.is_empty() {
-                        return None;
+                    if self.rx_down || conn.credit_blocked || self.edge.rx.is_empty() {
+                        return true;
                     }
                 }
-                Ok(FlushProgress::Blocked) => return None,
+                Ok(FlushProgress::Blocked) => return true,
                 Ok(FlushProgress::Stalled(d)) => {
                     if let Some(d) = d {
-                        self.stall_until = Some(now + d);
+                        conn.stall_until = Some(now + d);
                     }
-                    return None;
+                    return true;
                 }
                 Err(err) => {
-                    self.reporter
+                    self.edge
+                        .reporter
                         .record(LinkEventKind::Reconnecting, format!("send failed: {err}"));
-                    let carried = self.fs.take_fault_injector();
-                    return Some(self.finish(ConnFate::Broken { carried }));
+                    return false;
                 }
             }
         }
     }
-}
 
-impl Source for SenderConn {
-    fn fd(&self) -> RawFd {
-        self.fs.get_ref().as_raw_fd()
-    }
-
-    fn service(&mut self, ready: Ready, now: Instant) -> Directive {
-        if self.done {
-            return Directive::close();
-        }
-        // An injected delay parks the connection wholesale, mirroring
-        // the old inline sleep: nothing is read, written, or ingested
-        // until it elapses, so the fault schedule stays identical.
-        if let Some(until) = self.stall_until {
+    fn live(&mut self, mut conn: Conn, ready: Ready, now: Instant) -> Directive {
+        // An injected delay parks the connection wholesale: nothing is
+        // read, written, or ingested until it elapses, so the fault
+        // schedule does not depend on timing.
+        if let Some(until) = conn.stall_until {
             if now < until {
-                return Directive {
-                    want_read: false,
-                    want_write: false,
-                    deadline: Some(until),
-                    close: false,
-                };
+                self.phase = Phase::Live(conn);
+                return park(Some(until));
             }
-            self.stall_until = None;
-            self.fs.resume_stall();
+            conn.stall_until = None;
+            conn.fs.resume_stall();
         }
-        if self.partitioned.load(Ordering::Relaxed) {
-            let carried = self.fs.take_fault_injector();
-            return self.finish(ConnFate::Partitioned { carried });
+        if self.ctx.partitioned.load(Ordering::Relaxed) {
+            return self.lose(conn, now);
         }
-        if let Some(d) = self.pump(now) {
-            return d;
+        if !self.pump(&mut conn, now) {
+            return self.lose(conn, now);
         }
-        if ready.readable && !self.peer_eof {
-            self.read_upstream();
+        if ready.readable && !conn.peer_eof {
+            self.read_upstream(&mut conn);
             // Acks may have opened the credit window (or queued a skip
             // frame / replay): make progress now rather than waiting
             // for the next readiness event.
-            if let Some(d) = self.pump(now) {
-                return d;
+            if !self.pump(&mut conn, now) {
+                return self.lose(conn, now);
             }
         }
-        self.report_faults();
-        // Once the worker stops, the connection gets one bounded last
-        // chance to flush and to collect its trailing acks.
-        let stopping = self.stop.load(Ordering::Relaxed);
-        let stop_passed =
-            stopping && now >= *self.stop_deadline.get_or_insert(now + Duration::from_secs(1));
-        if self.rx_down && !self.backlog() && self.stall_until.is_none() {
-            let in_flight = self.window.lock().unwrap_or_else(|p| p.into_inner()).in_flight();
+        self.report_faults(&mut conn);
+        // Once the worker stops, the sender gets one bounded last chance
+        // to flush and to collect its trailing acks.
+        let stop_passed = self.stop_deadline.is_some_and(|limit| now >= limit);
+        if self.rx_down && !conn.backlog() && conn.stall_until.is_none() {
+            let in_flight = self.edge.window.in_flight();
             if in_flight == 0 {
                 // Every frame flushed *and* delivery-acked: the edge is
                 // complete for real, not just buffered in a socket.
-                let carried = self.fs.take_fault_injector();
-                return self.finish(ConnFate::Finished { carried });
+                return self.end(conn);
             }
-            if !self.peer_eof && !stop_passed {
+            if !conn.peer_eof && !stop_passed {
                 // Everything flushed; wait (readable) for the trailing
                 // acks, re-checking on the sweep cadence. A stopping
                 // worker waits too: a flushed frame the receiver dropped
                 // is still owed its replay.
-                return Directive {
-                    want_read: true,
-                    want_write: false,
-                    deadline: Some(now + EXC_SWEEP),
-                    close: false,
-                };
+                self.phase = Phase::Live(conn);
+                return Directive::read().with_deadline(now + EXC_SWEEP);
             }
         }
-        if self.peer_eof {
-            // A half-closed peer can never ack: hand the unacked tail
-            // back to the tender, which re-dials and replays it.
-            self.reporter.record(LinkEventKind::Reconnecting, "peer closed before final ack");
-            let carried = self.fs.take_fault_injector();
-            return self.finish(ConnFate::Broken { carried });
+        if conn.peer_eof {
+            // A half-closed peer can never ack: re-dial and replay the
+            // unacked tail.
+            self.edge.reporter.record(LinkEventKind::Reconnecting, "peer closed before final ack");
+            return self.lose(conn, now);
         }
-        if stopping {
+        if self.stop_deadline.is_some() {
             // Best-effort final flush (end-of-stream markers), bounded.
             // Packets left in a bridge out of credit wait for the acks
             // of a receiver still consuming them (a clean finish stops
             // the sending worker before its last packets are sent).
-            let stranded = self.credit_blocked && !self.rx.is_empty();
-            if (!self.backlog() && !stranded) || stop_passed {
-                return self.finish(ConnFate::Stopped);
+            let stranded = conn.credit_blocked && !self.edge.rx.is_empty();
+            if (!conn.backlog() && !stranded) || stop_passed {
+                return self.end(conn);
             }
-            return Directive {
-                want_read: true,
-                want_write: self.backlog(),
-                deadline: Some(now + Duration::from_millis(20)),
-                close: false,
-            };
+            let want_write = conn.backlog();
+            self.phase = Phase::Live(conn);
+            let recheck = now + Duration::from_millis(20);
+            return Directive { want_write, ..Directive::read().with_deadline(recheck) };
         }
         // Park until the stage pings us (or the socket turns writable /
         // readable / the stall elapses). Re-check the channel after
@@ -1146,15 +1548,45 @@ impl Source for SenderConn {
         // otherwise sleep forever. A credit-blocked sender must NOT
         // ping itself on a non-empty bridge — the wake it needs is the
         // receiver's ack (readable), not its own spin.
-        self.wake.arm();
-        if !self.rx_down && !self.credit_blocked && !self.rx.is_empty() {
-            self.wake.ping();
+        let wake = &self.wake;
+        wake.arm();
+        if !self.rx_down && !conn.credit_blocked && !self.edge.rx.is_empty() {
+            wake.ping();
         }
-        Directive {
-            want_read: true,
-            want_write: self.backlog() && self.stall_until.is_none(),
-            deadline: self.stall_until.or_else(|| self.credit_blocked.then(|| now + EXC_SWEEP)),
-            close: false,
+        let d = Directive {
+            want_write: conn.backlog() && conn.stall_until.is_none(),
+            deadline: conn.stall_until.or_else(|| conn.credit_blocked.then(|| now + EXC_SWEEP)),
+            ..Directive::read()
+        };
+        self.phase = Phase::Live(conn);
+        d
+    }
+}
+
+impl Source for Registration {
+    fn fd(&self) -> RawFd {
+        self.sender.as_ref().map_or(-1, |s| s.fd())
+    }
+
+    fn service(&mut self, ready: Ready, now: Instant) -> Directive {
+        let Some(sender) = self.sender.as_mut() else { return Directive::close() };
+        let d = sender.step(ready, now);
+        // The reactor polls the fd it registered: a new socket (or none)
+        // needs a new registration.
+        if sender.socket != self.socket {
+            return Directive::close();
+        }
+        d
+    }
+
+    fn closed(&mut self) {
+        let Some(mut sender) = self.sender.take() else { return };
+        // The reactor no longer polls the retired socket's fd.
+        sender.retired = None;
+        if !sender.finished && sender.socket != self.socket {
+            sender.register();
+        } else {
+            sender.wrap_up();
         }
     }
 }
@@ -1290,12 +1722,7 @@ impl Source for CtrlSource {
         }
         if let Some(until) = self.stall_until {
             if now < until {
-                return Directive {
-                    want_read: false,
-                    want_write: false,
-                    deadline: Some(until),
-                    close: false,
-                };
+                return park(Some(until));
             }
             self.stall_until = None;
             self.fs.resume_stall();
@@ -1303,12 +1730,7 @@ impl Source for CtrlSource {
         if self.partitioned.load(Ordering::Relaxed) {
             // Silent: re-checked on the next notify (partition flips
             // nudge every source) or this coarse fallback deadline.
-            return Directive {
-                want_read: false,
-                want_write: false,
-                deadline: Some(now + Duration::from_millis(25)),
-                close: false,
-            };
+            return park(Some(now + Duration::from_millis(25)));
         }
         // Drain the shared queue into the wire buffer, then flush.
         let (disarm, mut flush_ack) = {
@@ -1366,10 +1788,9 @@ impl Source for CtrlSource {
             self.relay_faults();
         }
         Directive {
-            want_read: true,
             want_write: blocked || (self.fs.queued_len() > 0 && self.stall_until.is_none()),
             deadline: self.stall_until,
-            close: false,
+            ..Directive::read()
         }
     }
 }
@@ -1384,5 +1805,251 @@ mod tests {
         let _client = TcpStream::connect(listener.local_addr().expect("address")).expect("dial");
         let socket = accept_data(&listener).expect("accept");
         assert!(socket.nodelay().expect("read TCP_NODELAY"), "acks must not wait for Nagle");
+    }
+
+    use super::super::worker::ChannelRecorder;
+    use crate::clock::RealClock;
+    use bytes::Bytes;
+    use crossbeam::channel::{unbounded, RecvTimeoutError};
+    use gates_core::trace::TraceEvent;
+    use gates_net::RetryPolicy;
+
+    const PATIENCE: Duration = Duration::from_secs(5);
+
+    /// One out-edge sender on its own reactor, with the handles a test
+    /// drives it through.
+    struct Rig {
+        reactor: Reactor,
+        bridge: Sender<Queued>,
+        /// Holds the sender's `done` handle: drop it to wait for the end.
+        ctx: Arc<SenderCtx>,
+        events: Receiver<TraceEvent>,
+        done: Receiver<()>,
+    }
+
+    const JITTER_ROOT: u64 = 7;
+
+    /// A loopback address nothing listens on (until a test binds it).
+    fn vacant() -> SocketAddr {
+        TcpListener::bind("127.0.0.1:0").expect("bind").local_addr().expect("address")
+    }
+
+    /// The ladder of [`rig`]: the first rung waits 50–100 % of `base`,
+    /// doubling up to `8 * base`; the link is reported dead after three.
+    fn ladder(base: Duration) -> RetryPolicy {
+        RetryPolicy { max_attempts: 3, base_delay: base, max_delay: base * 8 }
+    }
+
+    /// Edge 0's sender, aimed at `endpoint`, dialing at once.
+    fn rig(endpoint: SocketAddr, base: Duration, max_redial: Duration) -> Rig {
+        let reactor = Reactor::spawn("sender-test").expect("spawn reactor");
+        let (bridge, rx) = bounded(16);
+        let (trace_tx, events) = unbounded();
+        let (done_tx, done) = bounded(0);
+        let ctx = Arc::new(SenderCtx {
+            endpoints: RwLock::new(vec![endpoint.to_string()]),
+            cfg: DistConfig { retry: ladder(base), max_redial, ..DistConfig::default() },
+            jitter_root: JITTER_ROOT,
+            partitioned: Arc::default(),
+            stop: Arc::default(),
+            reactors: Arc::new(ReactorPool::new(vec![reactor.clone()])),
+            notify: NotifyList::default(),
+            hub: Arc::new(WakeHub::new()),
+            stats: DeliveryStats::default(),
+            _done: done_tx,
+        });
+        let reporter = LinkReporter {
+            recorder: Arc::new(ChannelRecorder { tx: trace_tx }),
+            clock: Arc::new(RealClock::anchored_now()),
+            link: "up->down".into(),
+            node: "w".into(),
+        };
+        SenderConn::start(
+            &ctx,
+            OutEdge {
+                edge: 0,
+                to_stage: 0,
+                incarnation: 0,
+                rx,
+                upstream: unbounded().0,
+                drops: Arc::default(),
+                reporter,
+                producer: 0,
+                window: AckWindow::new(16, 64),
+            },
+        );
+        Rig { reactor, bridge, ctx, events, done }
+    }
+
+    impl Rig {
+        /// The next link event of `kind`: its time and detail.
+        fn next(&self, kind: LinkEventKind) -> (f64, String) {
+            loop {
+                match self.events.recv_timeout(PATIENCE) {
+                    Ok(TraceEvent::Link(l)) if l.kind == kind => return (l.t, l.detail),
+                    Ok(_) => {}
+                    Err(e) => panic!("no {kind:?} event: {e:?}"),
+                }
+            }
+        }
+
+        /// Every link event kind recorded within `quiet`.
+        fn drain(&self, quiet: Duration) -> Vec<LinkEventKind> {
+            std::iter::from_fn(|| match self.events.recv_timeout(quiet) {
+                Ok(TraceEvent::Link(l)) => Some(Some(l.kind)),
+                Ok(_) => Some(None),
+                Err(_) => None,
+            })
+            .flatten()
+            .collect()
+        }
+
+        fn emit(&self, seq: u64) {
+            let packet = Packet::data(0, seq, 1, Bytes::from_static(b"stash"));
+            assert!(self.bridge.try_send(packet.into()).is_ok(), "bridge room");
+        }
+    }
+
+    /// Accept the sender's connection and read what it opened with. The
+    /// connection stays open as long as the returned stream lives.
+    fn accept_frames(listener: &TcpListener, frames: usize) -> (FrameStream, Vec<Frame>) {
+        listener.set_nonblocking(true).expect("nonblocking");
+        let deadline = Instant::now() + PATIENCE;
+        let socket = loop {
+            match listener.accept() {
+                Ok((socket, _)) => break socket,
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock && Instant::now() < deadline =>
+                {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(e) => panic!("the sender never connected: {e}"),
+            }
+        };
+        socket.set_nonblocking(false).expect("blocking");
+        let mut fs = FrameStream::new(socket);
+        fs.set_read_timeout(Some(PATIENCE)).expect("read timeout");
+        let got = (0..frames).map(|_| fs.read_frame().expect("read").expect("a frame")).collect();
+        (fs, got)
+    }
+
+    #[test]
+    fn a_refused_dial_climbs_the_jittered_ladder_then_connects_and_replays() {
+        let addr = vacant();
+        let base = Duration::from_millis(20);
+        let rig = rig(addr, base, Duration::from_secs(60));
+        for seq in 1..=3 {
+            rig.emit(seq);
+        }
+        let seed = derive(JITTER_ROOT, 0);
+        let mut last = rig.next(LinkEventKind::Reconnecting).0;
+        for n in 1..=4u32 {
+            let (t, detail) = rig.next(LinkEventKind::Reconnecting);
+            let rung = ladder(base).jittered_delay(n, seed);
+            // Timestamps are taken just after each failure, so allow
+            // the 1 ms the first one may trail its dial by.
+            assert!(
+                t - last + 0.001 >= rung.as_secs_f64(),
+                "dial {} came {:.1} ms after dial {n}, inside its {rung:?} backoff ({detail})",
+                n + 1,
+                (t - last) * 1e3,
+            );
+            last = t;
+        }
+        // One socket at a time: the listener sees exactly one dial, and
+        // it opens with the hello, then the replay of the stash.
+        let listener = TcpListener::bind(addr).expect("rebind the vacant port");
+        let (_conn, frames) = accept_frames(&listener, 4);
+        assert!(matches!(
+            decode_ctrl(&frames[0]),
+            Ok(CtrlMsg::EdgeHello { edge: 0, incarnation: 0 })
+        ));
+        let seqs: Vec<u64> = frames[1..].iter().map(|f| f.seq).collect();
+        assert_eq!(seqs, [1, 2, 3], "the stash replays in order");
+        std::thread::sleep(Duration::from_millis(200));
+        assert!(listener.accept().is_err(), "a second socket dialed");
+        rig.next(LinkEventKind::Connected);
+        rig.reactor.shutdown();
+    }
+
+    #[test]
+    fn a_peer_that_accepts_and_drops_is_redialed_on_the_first_rung_until_the_budget_ends() {
+        // A partitioned worker's listener: every connection is accepted
+        // and dropped at once, so no ack ever gets through.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let addr = listener.local_addr().expect("address");
+        let open = Arc::new(AtomicBool::new(true));
+        let dropper = {
+            let open = Arc::clone(&open);
+            std::thread::spawn(move || {
+                while open.load(Ordering::Relaxed) {
+                    if listener.accept().is_err() {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+            })
+        };
+        // On the first rung a dial follows a drop within 5–10 ms, dozens
+        // in the 400 ms budget; a ladder that kept climbing to 80 ms
+        // would fit about a dozen.
+        let rig = rig(addr, Duration::from_millis(10), Duration::from_millis(400));
+        let mut connects = 0;
+        loop {
+            match rig.events.recv_timeout(PATIENCE) {
+                Ok(TraceEvent::Link(l)) => match l.kind {
+                    LinkEventKind::ReconnectExhausted => break,
+                    LinkEventKind::Connected | LinkEventKind::Reconnected => connects += 1,
+                    _ => {}
+                },
+                Ok(_) => {}
+                Err(e) => panic!("connections restarted the budget: {e:?}"),
+            }
+        }
+        assert!(connects >= 20, "{connects} connections in the budget: the ladder climbed");
+        open.store(false, Ordering::Relaxed);
+        dropper.join().expect("dropper thread");
+        rig.reactor.shutdown();
+    }
+
+    #[test]
+    fn an_exhausted_sender_waits_for_failover_and_dials_the_moved_endpoint_at_once() {
+        let rig = rig(vacant(), Duration::from_millis(5), Duration::from_millis(40));
+        rig.next(LinkEventKind::ReconnectExhausted);
+        let after = rig.drain(Duration::from_millis(300));
+        assert!(
+            !after.contains(&LinkEventKind::ReconnectExhausted),
+            "exhaustion is reported once: {after:?}"
+        );
+        assert!(!after.contains(&LinkEventKind::Reconnecting), "it dialed again: {after:?}");
+        // Failover moves the receiver. The parked sender has no
+        // deadline left: only the table's nudge can make it dial.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        rig.ctx.set_endpoint(0, listener.local_addr().expect("address").to_string());
+        let (_conn, frames) = accept_frames(&listener, 1);
+        assert!(matches!(decode_ctrl(&frames[0]), Ok(CtrlMsg::EdgeHello { .. })));
+        assert!(rig.next(LinkEventKind::Reconnecting).1.starts_with("failover re-dial"));
+        rig.reactor.shutdown();
+    }
+
+    #[test]
+    fn stop_ends_a_down_sender_within_a_turn() {
+        // A 1–2 s backoff: the sender is waiting on the ladder, not
+        // about to dial, when the stop lands.
+        let rig = rig(vacant(), Duration::from_secs(2), Duration::from_secs(60));
+        rig.emit(1);
+        rig.emit(2);
+        rig.next(LinkEventKind::Reconnecting);
+        let began = Instant::now();
+        rig.ctx.stop.store(true, Ordering::Relaxed);
+        rig.ctx.notify.notify_all();
+        let stats = rig.ctx.stats.clone();
+        drop(rig.ctx);
+        assert_eq!(rig.done.recv_timeout(PATIENCE), Err(RecvTimeoutError::Disconnected));
+        assert!(began.elapsed() < Duration::from_millis(500), "it waited out its backoff");
+        // As a stopping run always has: the stash is abandoned, not
+        // counted lost.
+        assert_eq!(stats.lost.load(Ordering::Relaxed), 0);
+        rig.reactor.shutdown();
     }
 }

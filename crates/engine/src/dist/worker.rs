@@ -24,54 +24,30 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
-use crossbeam::channel::{
-    bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError,
-};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 
 use gates_core::report::StageReport;
 use gates_core::trace::{LinkEvent, LinkEventKind, NullRecorder, Recorder, TraceEvent};
 use gates_core::{Packet, ShardMap, ShardRouter, StageId, Topology};
 use gates_grid::{AppConfig, ApplicationRepository};
 use gates_net::{
-    connect_with_retry, connect_with_retry_jittered, crc32, derive, AckWindow, BufferPool,
-    FaultInjector, FlowControl, FrameStream, LinkSpec, Reactor, ReactorPool, RetryPolicy,
+    connect_with_retry, crc32, AckWindow, BufferPool, FlowControl, FrameStream, LinkSpec,
+    ReactorPool, RetryPolicy,
 };
 use gates_sim::{SimDuration, SimTime};
 
 use super::plane::{
-    ConnFate, CtrlEvent, CtrlHandle, ListenerSource, NotifyList, PlaneCtx, SenderConn,
+    CtrlEvent, CtrlHandle, ListenerSource, NotifyList, OutEdge, PlaneCtx, SenderConn, SenderCtx,
 };
 use super::proto::{encode_ctrl, CheckpointEntry, CtrlMsg};
 use super::{read_ctrl, DistConfig};
 use crate::executor::{CorePool, TaskHandle, WakeHub};
 use crate::options::RunOptions;
 use crate::runtime::{
-    CheckpointCfg, Control, CursorProbe, EdgeCredit, OutPort, Queued, RemoteWake, StageTask,
-    StageWorker,
+    CheckpointCfg, Control, CursorProbe, EdgeCredit, OutPort, Queued, StageTask, StageWorker,
 };
 use crate::stage_core::{ShardScaling, StageCore};
 use crate::EngineError;
-
-/// The worker's live view of every stage's data endpoint. `Reassign`
-/// messages rewrite rows in place; remote senders whose link is down
-/// consult it to re-dial a stage's replacement home after failover.
-struct SharedPlacements {
-    endpoint_of: RwLock<Vec<String>>,
-}
-
-impl SharedPlacements {
-    fn endpoint(&self, stage: usize) -> String {
-        // A poisoned table (a panicking reader elsewhere) still holds
-        // valid endpoints; recover instead of cascading the panic into
-        // every sender thread.
-        self.endpoint_of.read().unwrap_or_else(|p| p.into_inner())[stage].clone()
-    }
-
-    fn set_endpoint(&self, stage: usize, endpoint: String) {
-        self.endpoint_of.write().unwrap_or_else(|p| p.into_inner())[stage] = endpoint;
-    }
-}
 
 /// Stable per-process seed for reconnect jitter when no fault plan (and
 /// therefore no explicit seed) was configured: derived from the worker's
@@ -265,7 +241,6 @@ impl DistWorker {
             endpoint_vec[i] = p.endpoint.clone();
             speed_of[i] = p.speed;
         }
-        let placements_tbl = Arc::new(SharedPlacements { endpoint_of: RwLock::new(endpoint_vec) });
         let mut is_mine = vec![false; n];
         for &s in &assign.my_stages {
             let i = s as usize;
@@ -318,6 +293,13 @@ impl DistWorker {
         // Observed-time source for trace timestamps; scheduling stays on
         // `start` (see [`crate::clock::EngineClock`]).
         let clock = opts.run_clock();
+        // Link events name this worker; each link names itself.
+        let reporter = LinkReporter {
+            recorder: Arc::clone(&recorder),
+            clock: Arc::clone(&clock),
+            link: String::new(),
+            node: self.name.clone(),
+        };
         // True while this worker is inside an injected network partition:
         // senders stop flushing, the accept loop refuses connections,
         // readers drop their sockets, and heartbeats stay home.
@@ -357,55 +339,39 @@ impl DistWorker {
             drops.insert(i, Arc::new(AtomicU64::new(0)));
         }
 
-        let mut remote_out: HashMap<usize, Sender<Queued>> = HashMap::new();
-        let mut remote_wakes: HashMap<usize, Arc<RemoteWake>> = HashMap::new();
+        // Every remote out-edge's sender lives on a pool reactor. The
+        // context they share holds `done_tx`, so shutdown can wait for
+        // the last sender to end.
+        let (done_tx, done_rx) = bounded::<()>(0);
+        let out_edges = OutEdges {
+            topology: &topology,
+            reporter: reporter.clone(),
+            ctx: Arc::new(SenderCtx {
+                endpoints: RwLock::new(endpoint_vec),
+                cfg: cfg.clone(),
+                jitter_root,
+                partitioned: Arc::clone(&partitioned),
+                stop: Arc::clone(&stop),
+                reactors: Arc::clone(&reactors),
+                notify: notify.clone(),
+                hub: Arc::clone(&hub),
+                stats: delivery.clone(),
+                _done: done_tx,
+            }),
+        };
+        let mut remote_out: HashMap<usize, OutPort> = HashMap::new();
         let mut remote_exc: HashMap<usize, Sender<Control>> = HashMap::new();
         let mut in_edge_reg: HashMap<u32, Arc<InEdge>> = HashMap::new();
-        let mut bridge_handles = Vec::new();
         for (ei, edge) in topology.edges().iter().enumerate() {
             let from = edge.from.index();
             let to = edge.to.index();
-            let reporter = LinkReporter {
-                recorder: Arc::clone(&recorder),
-                clock: Arc::clone(&clock),
-                link: format!("{}->{}", topology.stages()[from].name, topology.stages()[to].name),
-                node: self.name.clone(),
-            };
             match (is_mine[from], is_mine[to]) {
                 (true, false) => {
                     // Outgoing remote edge: the stage writes into a
                     // bounded bridge channel drained by a reactor-driven
-                    // sender.
-                    let (btx, brx) = bounded::<Queued>(bridge_cap(&edge.link));
-                    remote_out.insert(ei, btx);
-                    let wake = RemoteWake::new();
-                    remote_wakes.insert(ei, Arc::clone(&wake));
-                    let sender = RemoteSender {
-                        edge: ei as u32,
-                        to_stage: to,
-                        placements: Arc::clone(&placements_tbl),
-                        rx: brx,
-                        upstream: ctl_tx[&from].clone(),
-                        drops: Arc::clone(&drops[&from]),
-                        cfg: cfg.clone(),
-                        partitioned: Arc::clone(&partitioned),
-                        jitter_seed: derive(jitter_root, ei as u64),
-                        reporter,
-                        stop: Arc::clone(&stop),
-                        reactor: reactors.pick(),
-                        notify: notify.clone(),
-                        wake,
-                        producer: (Arc::clone(&hub), from as u32),
-                        window: edge_window(&edge.link, &cfg),
-                        incarnation: 0,
-                        stats: delivery.clone(),
-                    };
-                    bridge_handles.push(
-                        std::thread::Builder::new()
-                            .name(format!("gates-tx-{ei}"))
-                            .spawn(move || sender.run())
-                            .map_err(|e| EngineError::Transport(e.to_string()))?,
-                    );
+                    // sender, which starts dialing now.
+                    let port = out_edges.open(ei, &drops[&from], ctl_tx[&from].clone(), 0);
+                    remote_out.insert(ei, port);
                 }
                 (false, true) => {
                     let (ie, etx) = InEdge::new(
@@ -414,7 +380,7 @@ impl DistWorker {
                         (Arc::clone(&hub), to as u32),
                         edge.link.flow == FlowControl::Blocking,
                         shard_guard(&topology, to, &data_tx),
-                        reporter,
+                        reporter.on(edge_name(&topology, ei)),
                         delivery.clone(),
                         0,
                         0,
@@ -470,21 +436,11 @@ impl DistWorker {
             .map(|spec| PartitionWindow {
                 next: Some(Instant::now() + spec.at),
                 lasts: spec.duration,
-                reporter: LinkReporter {
-                    recorder: Arc::clone(&recorder),
-                    clock: Arc::clone(&clock),
-                    link: "partition".into(),
-                    node: self.name.clone(),
-                },
+                reporter: reporter.on("partition"),
             });
         // Control-plane chaos starts only now: the handshake above must
         // stay reliable or no run would ever assemble.
-        let ctrl_faults = LinkReporter {
-            recorder: Arc::clone(&recorder),
-            clock: Arc::clone(&clock),
-            link: "ctrl".into(),
-            node: self.name.clone(),
-        };
+        let ctrl_faults = reporter.on("ctrl");
         if let Some(plan) = cfg.fault.as_ref().filter(|f| f.ctrl) {
             ctrl.set_fault_injector(Some(plan.injector_for_control(name_seed(&self.name))));
         }
@@ -506,30 +462,17 @@ impl DistWorker {
             for ei in topology.out_edges(id) {
                 let edge = &topology.edges()[ei];
                 let to = edge.to.index();
-                let bucket = OutPort::bucket_for(edge.link.bandwidth.as_bytes_per_sec());
-                let blocking = edge.link.flow == FlowControl::Blocking;
                 if is_mine[to] {
                     out.push(OutPort {
                         tx: data_tx[&to].clone(),
-                        bucket,
-                        blocking,
+                        bucket: OutPort::bucket_for(edge.link.bandwidth.as_bytes_per_sec()),
+                        blocking: edge.link.flow == FlowControl::Blocking,
                         drops: Arc::clone(&drops[&to]),
                         wake_key: Some(to as u32),
                         remote_wake: None,
                     });
                 } else {
-                    // Remote edge: while the link is down, the transport
-                    // attributes dropped packets to the *sending* stage
-                    // (it cannot see the receiver's queue). The bridge
-                    // drains on its own OS thread, so no wake key.
-                    out.push(OutPort {
-                        tx: remote_out[&ei].clone(),
-                        bucket,
-                        blocking,
-                        drops: Arc::clone(&drops[&i]),
-                        wake_key: None,
-                        remote_wake: Some(Arc::clone(&remote_wakes[&ei])),
-                    });
+                    out.push(remote_out.remove(&ei).expect("remote out-edge wired above"));
                 }
             }
             let mut upstream_ctl = Vec::new();
@@ -749,15 +692,15 @@ impl DistWorker {
                             .into_iter()
                             .map(|(s, q, crc, st, cur)| (s, (q, crc, st, cur)))
                             .collect();
-                        // Re-point the shared endpoint table first:
-                        // senders whose link is down re-dial as soon as
-                        // they see the new address.
+                        // Re-point the shared endpoint table first: it
+                        // wakes the senders aimed at a moved stage, and
+                        // a down one re-dials the new address at once.
                         for row in &rows {
                             let i = row.stage as usize;
                             if i >= n {
                                 continue;
                             }
-                            placements_tbl.set_endpoint(i, row.endpoint.clone());
+                            out_edges.ctx.set_endpoint(i, row.endpoint.clone());
                             worker_of[i] = row.worker.clone();
                             speed_of[i] = row.speed;
                         }
@@ -791,17 +734,6 @@ impl DistWorker {
                             let mut upstream_ctl = Vec::new();
                             for ei in topology.in_edges(id) {
                                 let edge = &topology.edges()[ei];
-                                let from = edge.from.index();
-                                let reporter = LinkReporter {
-                                    recorder: Arc::clone(&recorder),
-                                    clock: Arc::clone(&clock),
-                                    link: format!(
-                                        "{}->{}",
-                                        topology.stages()[from].name,
-                                        stage.name
-                                    ),
-                                    node: self.name.clone(),
-                                };
                                 let (ie, etx) = InEdge::new(
                                     dtx.clone(),
                                     Arc::clone(&my_drops),
@@ -811,7 +743,7 @@ impl DistWorker {
                                     // siblings to re-route to; its guard
                                     // rejects instead.
                                     shard_guard(&topology, i, &HashMap::new()),
-                                    reporter,
+                                    reporter.on(edge_name(&topology, ei)),
                                     delivery.clone(),
                                     restored_cursors.get(&(ei as u32)).copied().unwrap_or(0),
                                     epoch,
@@ -822,63 +754,14 @@ impl DistWorker {
                                     .unwrap_or_else(|p| p.into_inner())
                                     .insert(ei as u32, ie);
                             }
-                            let mut out = Vec::new();
-                            for ei in topology.out_edges(id) {
-                                let edge = &topology.edges()[ei];
-                                let to = edge.to.index();
-                                let (btx, brx) = bounded::<Queued>(bridge_cap(&edge.link));
-                                let wake = RemoteWake::new();
-                                out.push(OutPort {
-                                    tx: btx,
-                                    bucket: OutPort::bucket_for(
-                                        edge.link.bandwidth.as_bytes_per_sec(),
-                                    ),
-                                    blocking: edge.link.flow == FlowControl::Blocking,
-                                    drops: Arc::clone(&my_drops),
-                                    // All adopted outputs go out over TCP
-                                    // via reactor-driven sender sources.
-                                    wake_key: None,
-                                    remote_wake: Some(Arc::clone(&wake)),
-                                });
-                                let sender = RemoteSender {
-                                    edge: ei as u32,
-                                    to_stage: to,
-                                    placements: Arc::clone(&placements_tbl),
-                                    rx: brx,
-                                    upstream: ctx.clone(),
-                                    drops: Arc::clone(&my_drops),
-                                    cfg: cfg.clone(),
-                                    partitioned: Arc::clone(&partitioned),
-                                    jitter_seed: derive(jitter_root, ei as u64),
-                                    reporter: LinkReporter {
-                                        recorder: Arc::clone(&recorder),
-                                        clock: Arc::clone(&clock),
-                                        link: format!(
-                                            "{}->{}",
-                                            stage.name,
-                                            topology.stages()[to].name
-                                        ),
-                                        node: self.name.clone(),
-                                    },
-                                    stop: Arc::clone(&stop),
-                                    reactor: reactors.pick(),
-                                    notify: notify.clone(),
-                                    wake,
-                                    producer: (Arc::clone(&hub), i as u32),
-                                    window: edge_window(&edge.link, &cfg),
-                                    // A fresh sequence space: receivers
-                                    // see the epoch in the hello and
-                                    // restart their cursors.
-                                    incarnation: epoch,
-                                    stats: delivery.clone(),
-                                };
-                                bridge_handles.push(
-                                    std::thread::Builder::new()
-                                        .name(format!("gates-tx-{ei}"))
-                                        .spawn(move || sender.run())
-                                        .map_err(|e| EngineError::Transport(e.to_string()))?,
-                                );
-                            }
+                            // All adopted outputs go out over TCP, in a
+                            // fresh sequence space: receivers see the
+                            // epoch in the hello and restart their cursors.
+                            let out = topology
+                                .out_edges(id)
+                                .into_iter()
+                                .map(|ei| out_edges.open(ei, &my_drops, ctx.clone(), epoch))
+                                .collect();
                             // A checkpoint only counts if its bytes still
                             // match the CRC taken at snapshot time; a
                             // corrupted one restarts the stage fresh
@@ -898,20 +781,13 @@ impl DistWorker {
                                         None
                                     }
                                 });
-                            if recorder.enabled() {
-                                recorder.record(TraceEvent::Link(LinkEvent {
-                                    t: clock.now_secs(),
-                                    link: stage.name.clone(),
-                                    node: self.name.clone(),
-                                    kind: LinkEventKind::Restored,
-                                    detail: match &ckpt {
-                                        Some((seq, _)) => {
-                                            format!("resumed from checkpoint seq {seq}")
-                                        }
-                                        None => "restarted fresh (no checkpoint)".into(),
-                                    },
-                                }));
-                            }
+                            reporter.on(stage.name.clone()).record(
+                                LinkEventKind::Restored,
+                                match &ckpt {
+                                    Some((seq, _)) => format!("resumed from checkpoint seq {seq}"),
+                                    None => "restarted fresh (no checkpoint)".into(),
+                                },
+                            );
                             let worker = StageWorker {
                                 core: StageCore::new(
                                     &topology,
@@ -974,11 +850,11 @@ impl DistWorker {
         // Every parked reactor source re-checks the stop flag on the
         // next wakeup; this makes that wakeup immediate.
         notify.notify_all();
-        // Sender tenders flush queued frames (including EOS markers)
-        // before their channels disconnect, so join before reporting.
-        for h in bridge_handles {
-            let _ = h.join();
-        }
+        // Senders flush queued frames (end-of-stream markers included)
+        // within their stop grace; each drops its `done` handle as it
+        // ends, so this returns the moment the last one does.
+        drop(out_edges);
+        let _ = done_rx.recv();
         // The final report is the one control exchange chaos must not
         // touch: a dropped or mangled report would turn every chaos run
         // into a partial one. Injection ends here by design.
@@ -1028,8 +904,8 @@ fn resolve(addr: &str) -> Result<SocketAddr, EngineError> {
 
 /// Recorder that forwards every event into a channel; the worker's main
 /// loop relays them to the coordinator as `Trace` control messages.
-struct ChannelRecorder {
-    tx: Sender<TraceEvent>,
+pub(super) struct ChannelRecorder {
+    pub(super) tx: Sender<TraceEvent>,
 }
 
 impl Recorder for ChannelRecorder {
@@ -1044,13 +920,18 @@ impl Recorder for ChannelRecorder {
 /// Emits [`LinkEvent`]s for one remote edge from one process's view.
 #[derive(Clone)]
 pub(super) struct LinkReporter {
-    recorder: Arc<dyn Recorder>,
-    clock: Arc<dyn crate::clock::EngineClock>,
-    link: String,
-    node: String,
+    pub(super) recorder: Arc<dyn Recorder>,
+    pub(super) clock: Arc<dyn crate::clock::EngineClock>,
+    pub(super) link: String,
+    pub(super) node: String,
 }
 
 impl LinkReporter {
+    /// The same recorder, clock and node, reporting on `link`.
+    fn on(&self, link: impl Into<String>) -> LinkReporter {
+        LinkReporter { link: link.into(), ..self.clone() }
+    }
+
     pub(super) fn record(&self, kind: LinkEventKind, detail: impl Into<String>) {
         if self.recorder.enabled() {
             self.recorder.record(TraceEvent::Link(LinkEvent {
@@ -1064,8 +945,15 @@ impl LinkReporter {
     }
 }
 
+/// The flight-recorder name of edge `ei`: `from->to` stage names.
+fn edge_name(topology: &Topology, ei: usize) -> String {
+    let edge = &topology.edges()[ei];
+    let stages = topology.stages();
+    format!("{}->{}", stages[edge.from.index()].name, stages[edge.to.index()].name)
+}
+
 /// Shard identity of a receiving replica, carried by its in-edges so
-/// the reader threads can verify ownership of every delivered key.
+/// the in-edge sources can verify ownership of every delivered key.
 pub(super) struct InShard {
     /// The replica group's shared router (the receiver's current view).
     pub(super) router: Arc<ShardRouter>,
@@ -1132,12 +1020,64 @@ fn bridge_cap(link: &LinkSpec) -> usize {
 /// credit is its bridge capacity, capped by `ack_window`, so no more
 /// packets wait at the receiver than the link buffers; a lossy edge
 /// keeps the whole `ack_window`.
-fn edge_window(link: &LinkSpec, cfg: &DistConfig) -> Arc<Mutex<AckWindow>> {
+fn edge_window(link: &LinkSpec, cfg: &DistConfig) -> AckWindow {
     let credit = match link.flow {
         FlowControl::Blocking => bridge_cap(link).min(cfg.ack_window),
         FlowControl::Lossy => cfg.ack_window,
     };
-    Arc::new(Mutex::new(AckWindow::new(credit, cfg.replay_retain)))
+    AckWindow::new(credit, cfg.replay_retain)
+}
+
+/// Wires the remote out-edges of one worker: [`OutEdges::open`] builds
+/// one edge's bridge channel, the sending stage's [`OutPort`] onto it,
+/// and the [`SenderConn`] that drains it, at run start and for a stage
+/// adopted through failover alike.
+struct OutEdges<'a> {
+    topology: &'a Topology,
+    /// This worker's link-event reporter; each edge names its own link.
+    reporter: LinkReporter,
+    ctx: Arc<SenderCtx>,
+}
+
+impl OutEdges<'_> {
+    /// Wire out-edge `ei` of a stage whose drop counter is `drops` and
+    /// whose control channel is `upstream`. While the link is down the
+    /// transport attributes dropped packets to that *sending* stage (it
+    /// cannot see the receiver's queue). `incarnation` is zero at run
+    /// start and the failover epoch for an adopted stage.
+    fn open(
+        &self,
+        ei: usize,
+        drops: &Arc<AtomicU64>,
+        upstream: Sender<Control>,
+        incarnation: u64,
+    ) -> OutPort {
+        let edge = &self.topology.edges()[ei];
+        let (tx, rx) = bounded::<Queued>(bridge_cap(&edge.link));
+        let wake = SenderConn::start(
+            &self.ctx,
+            OutEdge {
+                edge: ei as u32,
+                to_stage: edge.to.index(),
+                incarnation,
+                rx,
+                upstream,
+                drops: Arc::clone(drops),
+                reporter: self.reporter.on(edge_name(self.topology, ei)),
+                producer: edge.from.index() as u32,
+                window: edge_window(&edge.link, &self.ctx.cfg),
+            },
+        );
+        OutPort {
+            tx,
+            bucket: OutPort::bucket_for(edge.link.bandwidth.as_bytes_per_sec()),
+            blocking: edge.link.flow == FlowControl::Blocking,
+            drops: Arc::clone(drops),
+            // Drained by a reactor source, not a pool-local stage.
+            wake_key: None,
+            remote_wake: Some(wake),
+        }
+    }
 }
 
 /// Receiver-side state of one remote in-edge, shared between the
@@ -1242,441 +1182,6 @@ impl InEdge {
 
     pub(super) fn wake_receiver(&self) {
         self.hub.wake(self.wake_key);
-    }
-}
-
-/// Tender of one remote out-edge. While the link is up, the actual I/O
-/// runs on the reactor as a [`SenderConn`] (coalesced nonblocking
-/// writes, exception relay, chaos injection); this thread only holds
-/// the *policy* that must be allowed to block — dialing, bounded-backoff
-/// reconnects, the redial budget, and the drain of a dead link's bridge
-/// channel. Each terminal [`ConnFate`] the connection reports routes
-/// through exactly the same recovery paths as the old thread-per-socket
-/// sender, so link traces and drop accounting are unchanged.
-///
-/// A dead link is not necessarily final: the tender keeps watching the
-/// shared placement table, and when failover moves the receiving stage
-/// to a new endpoint it re-dials there (replaying a stashed end-of-stream
-/// marker, so a stream that ended during the outage still terminates
-/// cleanly at the replacement).
-struct RemoteSender {
-    edge: u32,
-    /// Receiving stage index — the key into the placement table.
-    to_stage: usize,
-    /// Live endpoint table, rewritten by `Reassign` messages.
-    placements: Arc<SharedPlacements>,
-    rx: Receiver<Queued>,
-    upstream: Sender<Control>,
-    /// Drop counter of the *sending* stage (drops while the link is dead).
-    drops: Arc<AtomicU64>,
-    cfg: DistConfig,
-    /// Injected-partition flag of the hosting worker: while set, this
-    /// sender neither flushes nor re-dials.
-    partitioned: Arc<AtomicBool>,
-    /// Seed for backoff jitter, derived from the run seed (or the worker
-    /// name) and this edge, so no two links sync their retry storms.
-    jitter_seed: u64,
-    reporter: LinkReporter,
-    /// Engine stop flag (backstop for joining a parked connection).
-    stop: Arc<AtomicBool>,
-    /// The reactor hosting this edge's live connections.
-    reactor: Reactor,
-    /// Stop/partition nudge list; every registered connection joins it.
-    notify: NotifyList,
-    /// Emit-path wake handle shared with the sending stage's `OutPort`.
-    wake: Arc<RemoteWake>,
-    /// Wake hub and key of the sending stage.
-    producer: (Arc<WakeHub>, u32),
-    /// Acked replay window: frames stay here until the receiver's
-    /// cumulative delivered ack confirms them, and every reconnect
-    /// replays from it before sending anything new.
-    window: Arc<Mutex<AckWindow>>,
-    /// Sequence-space incarnation stamped into the edge hello: zero for
-    /// run-start senders, the failover epoch for adopted ones. The
-    /// receiver resets its cursor when the incarnation changes.
-    incarnation: u64,
-    /// Worker-global delivery counters.
-    stats: DeliveryStats,
-}
-
-/// Tracker for the wall-clock a sender may spend re-dialing one
-/// endpoint. A dial that fails and a connection that breaks before any
-/// ack gets through both count as failed attempts and push the next
-/// re-dial out by the jittered backoff. The budget resets on a
-/// successful dial and when failover moves the receiver (a new endpoint
-/// deserves a fresh chance), and exhausts at
-/// [`DistConfig::max_redial`], after which the link stays down — loudly
-/// — until failover intervenes.
-struct RedialBudget {
-    spent: Duration,
-    attempt: u32,
-    next: Instant,
-    exhausted: bool,
-}
-
-impl RedialBudget {
-    fn fresh() -> Self {
-        RedialBudget { spent: Duration::ZERO, attempt: 0, next: Instant::now(), exhausted: false }
-    }
-}
-
-impl RemoteSender {
-    fn connect(&self, endpoint: &str, carried: &mut Option<FaultInjector>) -> Option<FrameStream> {
-        let addr = endpoint.to_socket_addrs().ok()?.next()?;
-        let reporter = &self.reporter;
-        let socket = connect_with_retry_jittered(
-            addr,
-            self.cfg.connect_timeout,
-            &self.cfg.retry,
-            Some(self.jitter_seed),
-            |attempt, err| {
-                reporter.record(LinkEventKind::Reconnecting, format!("attempt {attempt}: {err}"));
-            },
-        )
-        .ok()?;
-        let mut fs = FrameStream::new(socket);
-        fs.set_read_timeout(Some(Duration::from_millis(1))).ok()?;
-        fs.send(&encode_ctrl(&CtrlMsg::EdgeHello {
-            edge: self.edge,
-            incarnation: self.incarnation,
-        }))
-        .ok()?;
-        // The injector survives reconnects: frame indices keep counting,
-        // so a run's fault schedule is one sequence per link rather than
-        // restarting on every new connection.
-        match carried.take() {
-            Some(inj) => fs.set_fault_injector(Some(inj)),
-            None => {
-                if let Some(plan) = &self.cfg.fault {
-                    fs.set_fault_injector(Some(plan.injector_for_link(self.edge as u64)));
-                }
-            }
-        }
-        // Queue everything past the receiver's delivered cursor before
-        // any new traffic: the fresh connection opens with the replay,
-        // and the receiver dedups whatever the cursor already covered.
-        {
-            let win = self.window.lock().unwrap_or_else(|p| p.into_inner());
-            let from = win.delivered();
-            let mut n = 0u64;
-            let buf = fs.queue_buffer();
-            for frame in win.replay_from(from) {
-                buf.extend_from_slice(frame);
-                n += 1;
-            }
-            if n > 0 {
-                self.stats.replayed.fetch_add(n, Ordering::Relaxed);
-                self.reporter.record(
-                    LinkEventKind::Replayed,
-                    format!("{n} frames from seq {} on reconnect", from + 1),
-                );
-            }
-        }
-        Some(fs)
-    }
-
-    /// Whether a dead link may stash another packet: up to `ack_window`
-    /// in flight, whatever the edge's credit, so an outage absorbs as
-    /// much as the replay window is sized for.
-    fn has_stash_room(&self) -> bool {
-        self.window.lock().unwrap_or_else(|p| p.into_inner()).in_flight() < self.cfg.ack_window
-    }
-
-    /// Stamp and retain one packet in the replay window while the link
-    /// is down; it rides to the receiver with the next successful dial's
-    /// replay instead of being dropped.
-    fn stash(&self, packet: Packet) {
-        let mut win = self.window.lock().unwrap_or_else(|p| p.into_inner());
-        let seq = win.next_seq();
-        let mut buf = BytesMut::new();
-        packet.encode_into_with_seq(seq, &mut buf);
-        win.push(buf.freeze());
-    }
-
-    /// While the link is dead, two ways back: the placement table names a
-    /// *new* endpoint (failover moved the receiver — dial it now, fresh
-    /// budget), or the same endpoint might simply have healed (injected
-    /// partition, receiver restart), which is worth a jittered, budgeted
-    /// re-dial rather than either banging on it in a tight loop or giving
-    /// up forever.
-    fn try_revive(
-        &self,
-        stream: &mut Option<FrameStream>,
-        dialed: &mut String,
-        dead: &mut bool,
-        carried: &mut Option<FaultInjector>,
-        budget: &mut RedialBudget,
-    ) {
-        if self.partitioned.load(Ordering::Relaxed) {
-            return;
-        }
-        let current = self.placements.endpoint(self.to_stage);
-        let moved = current != *dialed;
-        if moved {
-            *budget = RedialBudget::fresh();
-            self.reporter
-                .record(LinkEventKind::Reconnecting, format!("failover re-dial to {current}"));
-        } else {
-            if budget.exhausted || Instant::now() < budget.next {
-                return;
-            }
-            if budget.spent >= self.cfg.max_redial {
-                budget.exhausted = true;
-                self.reporter.record(
-                    LinkEventKind::ReconnectExhausted,
-                    format!(
-                        "re-dial budget {:?} spent on {current}; link down until failover",
-                        self.cfg.max_redial
-                    ),
-                );
-                return;
-            }
-        }
-        *dialed = current.clone();
-        let began = Instant::now();
-        match self.connect(&current, carried) {
-            Some(fs) => {
-                self.reporter.record(LinkEventKind::Reconnected, format!("re-dial to {current}"));
-                *budget = RedialBudget::fresh();
-                *stream = Some(fs);
-                *dead = false;
-            }
-            None => {
-                budget.spent += began.elapsed();
-                budget.attempt += 1;
-                budget.next = Instant::now()
-                    + self.cfg.retry.jittered_delay(budget.attempt, self.jitter_seed);
-                self.reporter.record(LinkEventKind::Dead, format!("re-dial to {current} failed"));
-            }
-        }
-    }
-
-    fn run(self) {
-        let mut carried: Option<FaultInjector> = None;
-        let mut budget = RedialBudget::fresh();
-        let mut dialed = self.placements.endpoint(self.to_stage);
-        let mut stream = self.connect(&dialed, &mut carried);
-        let mut dead = false;
-        match &stream {
-            Some(_) => self.reporter.record(LinkEventKind::Connected, dialed.clone()),
-            None => {
-                self.reporter.record(LinkEventKind::Dead, "no data connection after retries");
-                dead = true;
-            }
-        }
-        let (fate_tx, fate_rx) = unbounded::<ConnFate>();
-        let mut rx_open = true;
-        // Set when the bridge closes with unacked frames stranded on a
-        // dead link: the clock on how long we wait for failover.
-        let mut closed_at: Option<Instant> = None;
-        loop {
-            if !dead {
-                // Live link: hand the socket to the reactor and wait for
-                // its terminal fate. The wake handle points at the new
-                // connection so the emit path can ping it.
-                let fs = match stream.take() {
-                    Some(fs) => fs,
-                    None => {
-                        // Defensive: a dead-flag/stream mismatch is a
-                        // bug, but dropping into the dead path beats
-                        // taking the whole tender thread down.
-                        dead = true;
-                        continue;
-                    }
-                };
-                let conn = SenderConn::new(
-                    fs,
-                    self.rx.clone(),
-                    self.upstream.clone(),
-                    Arc::clone(&self.partitioned),
-                    Arc::clone(&self.stop),
-                    self.reporter.clone(),
-                    fate_tx.clone(),
-                    Arc::clone(&self.wake),
-                    self.producer.clone(),
-                    Arc::clone(&self.window),
-                    self.stats.clone(),
-                );
-                let acked_before =
-                    self.window.lock().unwrap_or_else(|p| p.into_inner()).delivered();
-                let token = self.reactor.register(Box::new(conn));
-                self.notify.add(self.reactor.clone(), token);
-                self.wake.install(self.reactor.clone(), token);
-                let fate = loop {
-                    match fate_rx.recv_timeout(Duration::from_millis(200)) {
-                        Ok(f) => break f,
-                        Err(RecvTimeoutError::Timeout) => {
-                            if self.stop.load(Ordering::Relaxed) {
-                                // Prod the parked source; it answers
-                                // with a fate once it sees the flag.
-                                self.reactor.notify(token);
-                            }
-                        }
-                        Err(RecvTimeoutError::Disconnected) => break ConnFate::Stopped,
-                    }
-                };
-                self.wake.clear();
-                match fate {
-                    ConnFate::Finished { carried: c } => {
-                        carried = c;
-                        break;
-                    }
-                    ConnFate::Stopped => break,
-                    ConnFate::Partitioned { carried: c } => {
-                        // Partition cut: the socket is already dropped so
-                        // the receiver sees a clean break; stay dead
-                        // until the window heals (the revive path
-                        // refuses to dial while partitioned).
-                        carried = c;
-                        self.reporter.record(LinkEventKind::Dead, "injected partition cut");
-                        dead = true;
-                    }
-                    ConnFate::Broken { carried: c } => {
-                        carried = c;
-                        let acked =
-                            self.window.lock().unwrap_or_else(|p| p.into_inner()).delivered();
-                        if acked == acked_before {
-                            // Broken before any ack got through, as when a
-                            // partitioned peer accepts and drops: count a
-                            // failed dial and wait out one backoff step,
-                            // not re-dial in a hot loop. The dial reset the
-                            // budget, so the step stays short enough to
-                            // reconnect inside the receiver's drain window.
-                            budget.attempt += 1;
-                            let delay =
-                                self.cfg.retry.jittered_delay(budget.attempt, self.jitter_seed);
-                            budget.next = Instant::now() + delay;
-                            self.reporter.record(
-                                LinkEventKind::Dead,
-                                format!("broke before any ack; re-dial in {delay:?}"),
-                            );
-                            dead = true;
-                            continue;
-                        }
-                        // One bounded-backoff reconnect cycle, then the
-                        // link is dead until failover moves the receiver
-                        // (the receiver's drain window is the backstop).
-                        // Unacked frames sit in the replay window, and
-                        // `connect` queues them onto the replacement
-                        // connection — nothing rides on the broken
-                        // socket's half-flushed bytes. Re-read the table
-                        // first: the coordinator may already have
-                        // reassigned the stage elsewhere.
-                        dialed = self.placements.endpoint(self.to_stage);
-                        stream = if self.partitioned.load(Ordering::Relaxed) {
-                            None
-                        } else {
-                            self.connect(&dialed, &mut carried)
-                        };
-                        match &stream {
-                            Some(_) => {
-                                self.reporter.record(LinkEventKind::Reconnected, dialed.clone());
-                            }
-                            None => {
-                                self.reporter.record(
-                                    LinkEventKind::Dead,
-                                    "retries exhausted; parking on the replay window until failover",
-                                );
-                                dead = true;
-                            }
-                        }
-                    }
-                }
-                continue;
-            }
-            // Dead link: absorb the bridge into the replay window so the
-            // frames survive onto the next connection, watching for a
-            // revival the whole time.
-            self.try_revive(&mut stream, &mut dialed, &mut dead, &mut carried, &mut budget);
-            if !dead {
-                continue;
-            }
-            if self.stop.load(Ordering::Relaxed) {
-                break;
-            }
-            if !rx_open {
-                // Bridge already closed: nothing left to absorb, just
-                // wait out the revive-or-abandon clock below.
-                std::thread::sleep(Duration::from_millis(20));
-            } else if budget.exhausted {
-                // No reconnect is coming here; failover is the only way
-                // out, and it replays from the retained window. Anything
-                // *beyond* what the window holds has nowhere to go —
-                // drain the bridge so the stage behind it is not wedged
-                // forever, and count the stream's loss honestly.
-                match self.rx.recv_timeout(Duration::from_millis(20)) {
-                    Ok(Queued { packet, .. }) => {
-                        if self.has_stash_room() {
-                            self.stash(packet);
-                        } else if !packet.is_eos() {
-                            self.drops.fetch_add(1, Ordering::Relaxed);
-                            self.stats.lost.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => rx_open = false,
-                }
-            } else {
-                // A reconnect (or failover re-dial) is still plausible:
-                // stash what the replay window can hold. A full window
-                // parks the bridge, pushing back on the sending stage.
-                loop {
-                    if !self.has_stash_room() {
-                        break;
-                    }
-                    match self.rx.try_recv() {
-                        Ok(Queued { packet, .. }) => self.stash(packet),
-                        Err(TryRecvError::Empty) => break,
-                        Err(TryRecvError::Disconnected) => {
-                            rx_open = false;
-                            break;
-                        }
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            if !rx_open {
-                // The stream has ended but unacked frames are stranded
-                // on a dead link. Give failover one drain window to move
-                // the receiver so the replay can land at the
-                // replacement; after that the frames are lost with the
-                // link and the receiver's drain backstop closes the
-                // stream out.
-                let unacked = self.window.lock().unwrap_or_else(|p| p.into_inner()).in_flight();
-                if unacked == 0 {
-                    break;
-                }
-                let since = *closed_at.get_or_insert_with(Instant::now);
-                if since.elapsed() >= self.cfg.drain_window {
-                    self.stats.lost.fetch_add(unacked as u64, Ordering::Relaxed);
-                    self.reporter.record(
-                        LinkEventKind::Dead,
-                        format!("{unacked} unacked frames lost with the link"),
-                    );
-                    break;
-                }
-            }
-        }
-        // Surface any faults injected on the final frames: either from
-        // the injector a terminal fate surrendered, or the live stream's.
-        if let Some(mut inj) = carried.take() {
-            for af in inj.take_log() {
-                self.reporter.record(
-                    LinkEventKind::FaultInjected,
-                    format!("frame {}: {}", af.index, af.fate.name()),
-                );
-            }
-        }
-        if let Some(fs) = stream.as_mut() {
-            if let Some(inj) = fs.fault_injector_mut() {
-                for af in inj.take_log() {
-                    self.reporter.record(
-                        LinkEventKind::FaultInjected,
-                        format!("frame {}: {}", af.index, af.fate.name()),
-                    );
-                }
-            }
-        }
     }
 }
 

@@ -8,7 +8,7 @@
 //! [`crate::executor::CorePool`]. The stage is transport-agnostic: it
 //! consumes `crossbeam` channels and writes into [`OutPort`]s, and it is
 //! the runtime's job to wire those endpoints to an in-process peer or to
-//! a socket bridge thread.
+//! the bridge channel of a reactor-driven socket sender.
 //!
 //! The driver owns the queue, the out-ports and their pacing, the
 //! outbox, checkpoints, and the `Instant` cadence on which observe and
@@ -119,6 +119,15 @@ impl RemoteWake {
     pub(crate) fn install(&self, reactor: Reactor, token: Token) {
         *self.slot.lock().unwrap_or_else(|p| p.into_inner()) = Some((reactor.clone(), token));
         reactor.notify(token);
+    }
+
+    /// Service the source now, armed or not: stop, a partition flip or
+    /// a moved endpoint it must see.
+    pub(crate) fn nudge(&self) {
+        if let Some((reactor, token)) = self.slot.lock().unwrap_or_else(|p| p.into_inner()).as_ref()
+        {
+            reactor.notify(*token);
+        }
     }
 
     /// Detach (source left the reactor); pings become no-ops.

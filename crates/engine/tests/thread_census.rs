@@ -1,7 +1,9 @@
-//! A distributed worker runs on its executor pool threads plus one
-//! sender tender per outgoing remote edge, and nothing else: no helper
-//! thread that only sleeps and polls (timer driver, drain monitor,
-//! partition timer, budget watchdog, report joiner).
+//! A distributed worker runs on its executor pool threads and the thread
+//! that called `run`, and nothing else: no helper thread that only
+//! sleeps and polls (timer driver, drain monitor, partition timer,
+//! budget watchdog, report joiner), and no thread per outgoing remote
+//! edge — its sender dials, backs off and re-dials as a reactor source,
+//! through a partition and after it heals.
 //!
 //! This lives in its own single-test integration binary on purpose: the
 //! census scans every thread in the process, so it cannot share a
@@ -106,7 +108,11 @@ fn a_partitioned_single_core_worker_runs_no_helper_threads() {
     sampling.store(false, Ordering::Relaxed);
     let seen = census.join().expect("census thread");
 
+    // The census sampled from before the run began until after it
+    // ended, so its samples cover the partition window and the healed
+    // link that follows it.
     let trace = recorder.to_jsonl();
+    assert!(trace.contains("partition cut"), "the partition window opened");
     assert!(trace.contains("partition healed"), "the partition window ran");
     assert_eq!(report.packets_lost, 0);
     let sink = report.stages.iter().find(|s| s.name == "sink").expect("sink report");
@@ -115,4 +121,6 @@ fn a_partitioned_single_core_worker_runs_no_helper_threads() {
     let helpers = ["gates-timer", "gates-drain", "gates-partition", "gates-watchdog", "gates-join"];
     let found: Vec<&String> = seen.iter().filter(|n| helpers.contains(&n.as_str())).collect();
     assert!(found.is_empty(), "sleep-and-poll helper threads ran: {found:?}");
+    let tenders: Vec<&String> = seen.iter().filter(|n| n.starts_with("gates-tx-")).collect();
+    assert!(tenders.is_empty(), "a thread per remote out-edge ran: {tenders:?}");
 }

@@ -20,10 +20,14 @@
 //! * [`Frame`] / framing — the on-wire encoding (length-prefixed, CRC-32
 //!   protected) used when stages exchange packets, so experiment byte
 //!   counts come from an actual encoding rather than a guess.
-//! * [`FrameStream`] / [`connect_with_retry`] — the same framing carried
-//!   over real `std::net` TCP sockets for the distributed runtime, with
-//!   buffered streaming decode, CRC-failure skip-and-count, and bounded
-//!   exponential-backoff reconnect.
+//! * [`FrameStream`] / [`dial`] — the same framing carried over real
+//!   `std::net` TCP sockets for the distributed runtime, with buffered
+//!   streaming decode and CRC-failure skip-and-count. [`dial`] starts a
+//!   nonblocking connect that a reactor source completes on
+//!   writability and retries on its own deadline, on the seeded
+//!   [`RetryPolicy::jittered_delay`] ladder; the blocking
+//!   [`connect_with_retry`] is left for one-off dials such as a worker
+//!   registering with its coordinator.
 //! * [`AckWindow`] — the sender-side acked replay buffer behind the
 //!   distributed runtime's at-least-once delivery: per-edge sequence
 //!   numbers, cumulative delivered/durable acks, bounded retention that
@@ -48,6 +52,7 @@ mod transport;
 
 pub use ackwin::AckWindow;
 pub use crc32::{crc32, Crc32};
+pub use epoll::dial;
 pub use fault::{derive, AppliedFault, FaultFate, FaultInjector, FaultPlan, PartitionSpec};
 pub use frame::{
     decode_frame, decode_frame_slice, encode_frame, encode_frame_into, encode_segments_into, Frame,
@@ -59,7 +64,4 @@ pub use reactor::{Directive, Driver, Reactor, ReactorPool, Ready, Source, Token}
 pub use reader::{PooledReader, READ_CHUNK};
 pub use spec::{Bandwidth, FlowControl, LinkSpec};
 pub use token_bucket::TokenBucket;
-pub use transport::{
-    connect_with_retry, connect_with_retry_jittered, FlushProgress, FrameStream, RetryPolicy,
-    TransportError,
-};
+pub use transport::{connect_with_retry, FlushProgress, FrameStream, RetryPolicy, TransportError};

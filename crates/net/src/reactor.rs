@@ -1,8 +1,9 @@
 //! Readiness-driven I/O reactor.
 //!
 //! A [`Reactor`] owns one epoll instance and drives any number of
-//! registered [`Source`]s — sockets, listeners, anything with an fd —
-//! with level-triggered readiness instead of blocking reads and
+//! registered [`Source`]s — sockets, listeners, anything with an fd, and
+//! fd-less sources that only wait for a notify or a deadline — with
+//! level-triggered readiness instead of blocking reads and
 //! `set_read_timeout` polling. Cross-thread coordination goes through a
 //! command queue flushed by an `eventfd` wakeup: other threads
 //! [`Reactor::register`] new sources, [`Reactor::notify`] a source
@@ -91,13 +92,17 @@ impl Directive {
     }
 }
 
-/// An fd-backed object driven by a [`Reactor`].
+/// An object driven by a [`Reactor`], usually around an fd.
 ///
 /// The source owns its socket. `service` performs the actual
 /// nonblocking I/O; it is always called from the driving thread, so a
 /// source needs no internal locking for state only it touches.
 pub trait Source: Send {
-    /// The fd to poll. Must stay valid and constant while registered.
+    /// The fd to poll, read once at registration. Must stay valid and
+    /// constant while registered: a source whose socket changes closes
+    /// and registers again under a new token. `-1` means no socket (a
+    /// link waiting out a backoff): the reactor then services the source
+    /// only on [`Reactor::notify`] and on its deadline.
     fn fd(&self) -> RawFd;
 
     /// Handle readiness/notify/deadline; say what to watch for next.
@@ -373,9 +378,8 @@ impl Driver {
             match cmd {
                 Cmd::Register(token, source) => self.add(token, source, now),
                 Cmd::Close(token) => {
-                    if let Some(mut e) = self.entries.remove(&token) {
-                        let _ = self.shared.epoll.delete(e.fd);
-                        e.source.closed();
+                    if let Some(e) = self.entries.remove(&token) {
+                        self.drop_entry(e);
                     }
                 }
             }
@@ -399,7 +403,9 @@ impl Driver {
             return;
         }
         let fd = source.fd();
-        let _ = epoll::set_nonblocking(fd, true);
+        if fd >= 0 {
+            let _ = epoll::set_nonblocking(fd, true);
+        }
         // Initial service lets the source arm itself.
         let d = source.service(Ready { notified: true, ..Ready::default() }, now);
         if d.close {
@@ -407,7 +413,7 @@ impl Driver {
             return;
         }
         let interest = interest_mask(&d);
-        if self.shared.epoll.add(fd, interest, token).is_ok() {
+        if fd < 0 || self.shared.epoll.add(fd, interest, token).is_ok() {
             self.entries.insert(token, Entry { source, fd, interest, deadline: d.deadline });
         } else {
             source.closed();
@@ -418,23 +424,31 @@ impl Driver {
         let Some(entry) = self.entries.get_mut(&token) else { return };
         let d = entry.source.service(ready, now);
         if d.close {
-            let mut e = self.entries.remove(&token).expect("entry present");
-            let _ = self.shared.epoll.delete(e.fd);
-            e.source.closed();
+            let e = self.entries.remove(&token).expect("entry present");
+            self.drop_entry(e);
             return;
         }
         entry.deadline = d.deadline;
         let mask = interest_mask(&d);
         if mask != entry.interest {
             entry.interest = mask;
-            let _ = self.shared.epoll.modify(entry.fd, mask, token);
+            if entry.fd >= 0 {
+                let _ = self.shared.epoll.modify(entry.fd, mask, token);
+            }
         }
     }
 
-    fn close_all(&mut self) {
-        for (_, mut e) in self.entries.drain() {
+    /// Stop polling a removed entry's fd, then tell its source.
+    fn drop_entry(&self, mut e: Entry) {
+        if e.fd >= 0 {
             let _ = self.shared.epoll.delete(e.fd);
-            e.source.closed();
+        }
+        e.source.closed();
+    }
+
+    fn close_all(&mut self) {
+        for (_, e) in std::mem::take(&mut self.entries) {
+            self.drop_entry(e);
         }
     }
 }
@@ -564,6 +578,49 @@ mod tests {
         assert_eq!(rx.recv_timeout(Duration::from_secs(2)).unwrap(), "deadline");
         // No further deadline: the directive after firing had none.
         assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
+        reactor.close(token);
+        reactor.shutdown();
+    }
+
+    /// No fd: reports every service on a channel, asking for a deadline
+    /// 30 ms after its first one and none after that.
+    struct Socketless {
+        evs: mpsc::Sender<Ready>,
+        armed: bool,
+    }
+
+    impl Source for Socketless {
+        fn fd(&self) -> RawFd {
+            -1
+        }
+        fn service(&mut self, ready: Ready, now: Instant) -> Directive {
+            let _ = self.evs.send(ready);
+            // Interest in an fd it does not have must not matter.
+            let d = Directive::read_write();
+            if std::mem::replace(&mut self.armed, true) {
+                d
+            } else {
+                d.with_deadline(now + Duration::from_millis(30))
+            }
+        }
+    }
+
+    #[test]
+    fn a_socketless_source_runs_on_notify_and_deadline_only() {
+        let reactor = Reactor::spawn("socketless").unwrap();
+        let (tx, rx) = mpsc::channel();
+        let began = Instant::now();
+        let token = reactor.register(Box::new(Socketless { evs: tx, armed: false }));
+        let first = rx.recv_timeout(Duration::from_secs(2)).unwrap();
+        assert!(first.notified && !first.timed_out, "registration services it once");
+        let second = rx.recv_timeout(Duration::from_secs(2)).unwrap();
+        assert!(second.timed_out && !second.notified && !second.readable && !second.writable);
+        assert!(began.elapsed() >= Duration::from_millis(30), "never early");
+        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err(), "no deadline, no fd: idle");
+        reactor.notify(token);
+        let third = rx.recv_timeout(Duration::from_secs(2)).unwrap();
+        assert!(third.notified && !third.timed_out);
+        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err(), "idle again");
         reactor.close(token);
         reactor.shutdown();
     }

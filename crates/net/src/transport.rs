@@ -19,9 +19,10 @@
 //! latency-sensitive frames (control, EOS, exceptions).
 //!
 //! [`connect_with_retry`] provides the bounded-retry, exponential-backoff
-//! connect used by the distributed runtime: stage processes come up in
-//! arbitrary order, so the first connect attempts routinely land before
-//! the peer's listener exists.
+//! blocking connect a distributed worker registers with: workers come up
+//! before the coordinator, so the first attempts routinely land before
+//! its listener exists. Data links dial with the nonblocking
+//! [`crate::dial`] instead and retry on [`RetryPolicy::jittered_delay`].
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -118,34 +119,20 @@ impl RetryPolicy {
 /// Connect to `addr` with a per-attempt timeout, retrying with
 /// exponential backoff per `policy`. `on_retry(attempt, error)` is called
 /// before each backoff sleep (for logging / flight-recorder hooks).
+///
+/// This blocks the calling thread; it is for one-off dials such as a
+/// worker registering with its coordinator. A reactor-driven link dials
+/// with [`crate::dial`] and times its own backoff instead.
 pub fn connect_with_retry(
     addr: SocketAddr,
     connect_timeout: Duration,
     policy: &RetryPolicy,
-    on_retry: impl FnMut(u32, &std::io::Error),
-) -> std::io::Result<TcpStream> {
-    connect_with_retry_jittered(addr, connect_timeout, policy, None, on_retry)
-}
-
-/// [`connect_with_retry`] with optional seeded backoff jitter: when
-/// `jitter_seed` is set, each sleep is 50–100% of the policy's
-/// exponential delay, the fraction derived from `(seed, attempt)`. All
-/// senders re-dialing after a partition heals thereby spread out instead
-/// of stampeding the recovered peer in lockstep.
-pub fn connect_with_retry_jittered(
-    addr: SocketAddr,
-    connect_timeout: Duration,
-    policy: &RetryPolicy,
-    jitter_seed: Option<u64>,
     mut on_retry: impl FnMut(u32, &std::io::Error),
 ) -> std::io::Result<TcpStream> {
     let attempts = policy.max_attempts.max(1);
     let mut last_err = None;
     for attempt in 0..attempts {
-        let backoff = match jitter_seed {
-            Some(seed) => policy.jittered_delay(attempt, seed),
-            None => policy.delay(attempt),
-        };
+        let backoff = policy.delay(attempt);
         if !backoff.is_zero() {
             std::thread::sleep(backoff);
         }
