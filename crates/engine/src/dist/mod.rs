@@ -13,7 +13,10 @@
 //!   with the coordinator, rebuilds the topology locally from the same
 //!   XML, runs its assigned stages as the same
 //!   [`crate::runtime::StageTask`] activations as the threaded engine,
-//!   and bridges remote edges over TCP.
+//!   and bridges remote edges over TCP. One function, `Host::stage` in
+//!   `host.rs`, wires each stage it hosts: those assigned at run start
+//!   (co-assigned peers local, epoch 0) and those it adopts through
+//!   failover (no local peers, checkpoint cursors, the failover epoch).
 //! * [`DistConfig`] — transport tuning (timeouts, reconnect policy,
 //!   drain window), chosen on the coordinator and shipped to every
 //!   worker inside the assignment.
@@ -76,6 +79,7 @@
 //! are counted in [`gates_core::report::RunReport::packets_lost`].
 
 mod coordinator;
+mod host;
 mod plane;
 mod proto;
 mod worker;
@@ -125,9 +129,6 @@ pub(crate) fn read_ctrl(
 pub struct DistConfig {
     /// Per-attempt TCP connect timeout.
     pub connect_timeout: Duration,
-    /// Socket read timeout. Unused since the data plane went
-    /// nonblocking; still carried in the assignment.
-    pub read_timeout: Duration,
     /// Reconnect ladder for data connections: after `n` failed dials in
     /// a row the next waits [`RetryPolicy::jittered_delay`]`(n)`, and the
     /// link is reported dead once `max_attempts` dials in a row have
@@ -181,7 +182,6 @@ impl Default for DistConfig {
     fn default() -> Self {
         DistConfig {
             connect_timeout: Duration::from_secs(2),
-            read_timeout: Duration::from_millis(100),
             retry: RetryPolicy::default(),
             drain_window: Duration::from_secs(5),
             report_grace: Duration::from_secs(10),

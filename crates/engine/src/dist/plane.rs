@@ -41,8 +41,9 @@ use gates_net::{
     Source, Token, TransportError,
 };
 
+use super::host::{InEdge, InEdgeRegistry};
 use super::proto::{decode_ctrl, decode_exception, encode_ctrl, encode_exception, CtrlMsg};
-use super::worker::{DeliveryStats, InEdge, InEdgeRegistry, LinkReporter};
+use super::worker::{DeliveryStats, LinkReporter};
 use super::DistConfig;
 use crate::executor::WakeHub;
 use crate::runtime::{Control, EdgeCredit, Queued, RemoteWake};

@@ -534,7 +534,6 @@ fn get_trace_event(r: &mut PayloadReader) -> Result<TraceEvent, CoreError> {
 
 fn put_config(w: &mut PayloadWriter, c: &DistConfig) {
     w.put_u64(c.connect_timeout.as_micros() as u64);
-    w.put_u64(c.read_timeout.as_micros() as u64);
     w.put_u32(c.retry.max_attempts);
     w.put_u64(c.retry.base_delay.as_micros() as u64);
     w.put_u64(c.retry.max_delay.as_micros() as u64);
@@ -554,7 +553,6 @@ fn put_config(w: &mut PayloadWriter, c: &DistConfig) {
 fn get_config(r: &mut PayloadReader) -> Result<DistConfig, CoreError> {
     Ok(DistConfig {
         connect_timeout: Duration::from_micros(r.get_u64()?),
-        read_timeout: Duration::from_micros(r.get_u64()?),
         retry: RetryPolicy {
             max_attempts: r.get_u32()?,
             base_delay: Duration::from_micros(r.get_u64()?),
@@ -974,6 +972,20 @@ mod tests {
 
     #[test]
     fn non_default_config_round_trips() {
+        // Every field differs from its default, so each codec line is
+        // checked by the round trip.
+        let ms = Duration::from_millis;
+        let config = DistConfig { connect_timeout: ms(750), ..DistConfig::default() }
+            .retry(RetryPolicy { max_attempts: 4, base_delay: ms(30), max_delay: ms(900) })
+            .drain_window(ms(1_500))
+            .report_grace(ms(2_500))
+            .heartbeat_interval(ms(120))
+            .heartbeat_timeout(ms(1_200))
+            .checkpoint_every(7)
+            .max_redial(ms(9_000))
+            .ack_window(32)
+            .replay_retain(96)
+            .fault(gates_net::FaultPlan::parse("seed=7,drop=0.02,dup=0.01").unwrap());
         round_trip(CtrlMsg::Assign(Box::new(AssignMsg {
             app_xml: "<application name=\"x\" repository=\"count-samps\"/>".into(),
             observe_us: 1,
@@ -983,11 +995,7 @@ mod tests {
             trace: false,
             placements: Vec::new(),
             my_stages: Vec::new(),
-            config: DistConfig::default()
-                .checkpoint_every(7)
-                .ack_window(32)
-                .replay_retain(96)
-                .fault(gates_net::FaultPlan::parse("seed=7,drop=0.02,dup=0.01").unwrap()),
+            config,
         })));
     }
 

@@ -5,48 +5,42 @@
 //! it). It registers with the coordinator, receives the application XML
 //! plus the full placement table, rebuilds the topology from its local
 //! application repository, and runs its stages as the shared
-//! [`StageTask`] activations — local edges stay in-process channels,
-//! remote edges are bridged over TCP by reactor-driven sources that the
-//! stage pool's own threads service between stage steps.
+//! [`crate::runtime::StageTask`] activations — local edges stay
+//! in-process channels, remote edges are bridged over TCP by
+//! reactor-driven sources that the stage pool's own threads service
+//! between stage steps.
 //!
 //! During the run the worker heartbeats the coordinator, relays stage
 //! checkpoints, and acts on `Reassign` broadcasts: placement rows naming
 //! another worker just re-point the local senders' endpoint table (a
 //! dead link re-dials the new address), while rows naming *this* worker
-//! make it adopt the stage — fresh channels, fresh TCP in-edges for the
-//! neighbors to re-dial, and a [`StageWorker`] restored from the stage's
-//! last checkpoint, if any, whose own checkpoints count on from that
-//! checkpoint's sequence.
+//! make it adopt the stage. Adoption hosts the stage through the same
+//! [`Host::stage`] as run start, with no local peers, the cursors of
+//! the stage's last checkpoint and the failover epoch; the restored
+//! stage's own checkpoints count on from that checkpoint's sequence.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{bounded, unbounded, RecvTimeoutError, Sender, TrySendError};
 
 use gates_core::report::StageReport;
 use gates_core::trace::{LinkEvent, LinkEventKind, NullRecorder, Recorder, TraceEvent};
-use gates_core::{Packet, ShardMap, ShardRouter, StageId, Topology};
+use gates_core::{Packet, ShardMap, Topology};
 use gates_grid::{AppConfig, ApplicationRepository};
-use gates_net::{
-    connect_with_retry, crc32, AckWindow, BufferPool, FlowControl, FrameStream, LinkSpec,
-    ReactorPool, RetryPolicy,
-};
+use gates_net::{connect_with_retry, crc32, BufferPool, FrameStream, ReactorPool, RetryPolicy};
 use gates_sim::{SimDuration, SimTime};
 
-use super::plane::{
-    CtrlEvent, CtrlHandle, ListenerSource, NotifyList, OutEdge, PlaneCtx, SenderConn, SenderCtx,
-};
-use super::proto::{encode_ctrl, CheckpointEntry, CtrlMsg};
-use super::{read_ctrl, DistConfig};
-use crate::executor::{CorePool, TaskHandle, WakeHub};
+use super::host::{Host, InEdge, InEdgeRegistry, Restore};
+use super::plane::{CtrlEvent, CtrlHandle, ListenerSource, NotifyList, PlaneCtx, SenderCtx};
+use super::proto::{encode_ctrl, AssignMsg, CheckpointEntry, CtrlMsg};
+use super::read_ctrl;
+use crate::executor::{CorePool, TaskHandle};
 use crate::options::RunOptions;
-use crate::runtime::{
-    CheckpointCfg, Control, CursorProbe, EdgeCredit, OutPort, Queued, StageTask, StageWorker,
-};
-use crate::stage_core::{ShardScaling, StageCore};
+use crate::runtime::{Control, Inbox, RunCtx, StageWorker};
 use crate::EngineError;
 
 /// Stable per-process seed for reconnect jitter when no fault plan (and
@@ -56,10 +50,6 @@ fn name_seed(name: &str) -> u64 {
     name.bytes()
         .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3))
 }
-
-/// The shared, growable in-edge registry: failover registers new entries
-/// mid-run when this worker adopts a stage.
-pub(super) type InEdgeRegistry = Arc<RwLock<HashMap<u32, Arc<InEdge>>>>;
 
 /// Worker-global at-least-once delivery counters. One instance per
 /// worker process, cloned into every in-edge and remote sender; the
@@ -166,62 +156,15 @@ impl DistWorker {
     /// the same configuration, which is how stage *code* reaches workers
     /// without shipping binaries (the paper's application repositories).
     pub fn run(self, repo: &ApplicationRepository) -> Result<(), EngineError> {
-        // --- register -------------------------------------------------
+        // --- handshake: register, receive the deployment -------------
         let listener = TcpListener::bind((self.bind_host.as_str(), 0u16))
             .map_err(|e| EngineError::Transport(format!("bind data listener: {e}")))?;
         let data_addr =
             listener.local_addr().map_err(|e| EngineError::Transport(e.to_string()))?.to_string();
-
-        // Workers are often launched before the coordinator: be patient.
-        let register_policy = RetryPolicy {
-            max_attempts: 30,
-            base_delay: Duration::from_millis(100),
-            max_delay: Duration::from_secs(1),
+        let Some((mut ctrl, assign, topology)) = self.handshake(repo, data_addr)? else {
+            return Ok(());
         };
-        let coord = resolve(&self.coordinator)?;
-        let socket = connect_with_retry(coord, Duration::from_secs(2), &register_policy, |_, _| {})
-            .map_err(|e| EngineError::Transport(format!("connect to coordinator: {e}")))?;
-        let mut ctrl = FrameStream::new(socket);
-        ctrl.set_read_timeout(Some(Duration::from_millis(50)))
-            .map_err(|e| EngineError::Transport(e.to_string()))?;
-        ctrl.send(&encode_ctrl(&CtrlMsg::Hello {
-            name: self.name.clone(),
-            data_addr: data_addr.clone(),
-            site: self.site.clone(),
-            speed: self.speed,
-            capacity: self.capacity,
-        }))
-        .map_err(|e| EngineError::Transport(format!("send hello: {e}")))?;
-
-        // --- receive the deployment ----------------------------------
-        let deadline = Instant::now() + HANDSHAKE_PATIENCE;
-        let assign = loop {
-            match read_ctrl(&mut ctrl, deadline, "assignment")? {
-                CtrlMsg::Assign(a) => break a,
-                CtrlMsg::Stop => return Ok(()),
-                CtrlMsg::Reject { reason } => {
-                    return Err(EngineError::Protocol(format!(
-                        "coordinator rejected registration: {reason}"
-                    )))
-                }
-                _ => {}
-            }
-        };
-        let cfg = assign.config.clone();
-
-        let app = AppConfig::from_xml(&assign.app_xml)
-            .map_err(|e| EngineError::Protocol(format!("bad application config: {e}")))?;
-        let mut topology = repo
-            .build(&app)
-            .map_err(|e| EngineError::Protocol(format!("build application: {e}")))?;
-        // Override application must mirror the coordinator's exactly:
-        // stage indices, edge ids, placement rows and per-stage policies
-        // are all expressed against the expanded graph. The policy rides
-        // in the Assign's XML, so both sides read the same declaration.
-        app.apply_overrides(&mut topology)
-            .map_err(|e| EngineError::Protocol(format!("apply stage overrides: {e}")))?;
-        let topology = topology;
-        topology.validate().map_err(|e| EngineError::InvalidTopology(e.to_string()))?;
+        let cfg = &assign.config;
         let n = topology.stages().len();
         if assign.placements.len() != n {
             return Err(EngineError::Protocol(format!(
@@ -229,17 +172,15 @@ impl DistWorker {
                 assign.placements.len()
             )));
         }
-        let mut worker_of = vec![String::new(); n];
-        let mut endpoint_vec = vec![String::new(); n];
-        let mut speed_of = vec![1.0f64; n];
+        let mut placed = vec![(String::new(), 1.0f64); n];
+        let mut endpoints = vec![String::new(); n];
         for p in &assign.placements {
             let i = p.stage as usize;
             if i >= n {
                 return Err(EngineError::Protocol(format!("placement for unknown stage {i}")));
             }
-            worker_of[i] = p.worker.clone();
-            endpoint_vec[i] = p.endpoint.clone();
-            speed_of[i] = p.speed;
+            placed[i] = (p.worker.clone(), p.speed);
+            endpoints[i] = p.endpoint.clone();
         }
         let mut is_mine = vec![false; n];
         for &s in &assign.my_stages {
@@ -273,30 +214,23 @@ impl DistWorker {
         // socket registered on them, so every early return below cleans
         // up.
         let pool = CorePool::new(opts.effective_cores());
-        let hub = pool.hub();
 
         // Every socket this worker owns lives on the reactors of the
         // first `reactors` pool threads: a stage, the sockets it feeds
         // and the acks it returns share a thread.
         let driving = self.reactors.min(pool.reactors().len());
         let reactors = Arc::new(ReactorPool::new(pool.reactors()[..driving].to_vec()));
-        // Recycled read buffers shared by every data in-edge; steady
-        // state reads allocate nothing per packet.
-        let buffers = BufferPool::default();
         // Wake handles of every registered source, nudged on stop and
         // partition flips.
         let notify = NotifyList::default();
 
-        // --- wire the data plane -------------------------------------
-        let stop = Arc::new(AtomicBool::new(false));
-        let start = Instant::now();
-        // Observed-time source for trace timestamps; scheduling stays on
-        // `start` (see [`crate::clock::EngineClock`]).
-        let clock = opts.run_clock();
+        // --- wire the stages and the data plane ----------------------
+        let run = RunCtx::new(opts, pool.hub());
+        let stop = Arc::clone(&run.stop);
         // Link events name this worker; each link names itself.
         let reporter = LinkReporter {
-            recorder: Arc::clone(&recorder),
-            clock: Arc::clone(&clock),
+            recorder,
+            clock: Arc::clone(&run.clock),
             link: String::new(),
             node: self.name.clone(),
         };
@@ -312,96 +246,56 @@ impl DistWorker {
         // Stage snapshots (state + per-edge input cursors) funnel
         // through this channel into the main loop, which relays them to
         // the coordinator as checkpoints.
-        let (ckpt_tx, ckpt_rx) = unbounded::<(u32, u64, Vec<u8>, Vec<(u32, u64)>)>();
+        let (ckpt_tx, ckpt_rx) = unbounded();
         // At-least-once delivery totals for this process.
         let delivery = DeliveryStats::default();
         // Replica scale-out signals (`(group, ordinal, split)`) follow
         // the same path: a replica whose d̃ left [LT1, LT2] asks the
         // coordinator to split or merge its key range, and the
         // coordinator answers with a `ShardUpdate` broadcast.
-        let (shard_tx, shard_rx) = unbounded::<(u32, u32, bool)>();
-
-        let mut data_tx: HashMap<usize, Sender<Queued>> = HashMap::new();
-        let mut data_rx: HashMap<usize, Receiver<Queued>> = HashMap::new();
-        let mut ctl_tx: HashMap<usize, Sender<Control>> = HashMap::new();
-        let mut ctl_rx: HashMap<usize, Receiver<Control>> = HashMap::new();
-        let mut drops: HashMap<usize, Arc<AtomicU64>> = HashMap::new();
-        for (i, stage) in topology.stages().iter().enumerate() {
-            if !is_mine[i] {
-                continue;
-            }
-            let (tx, rx) = bounded(stage.queue_capacity);
-            data_tx.insert(i, tx);
-            data_rx.insert(i, rx);
-            let (ctx, crx) = unbounded::<Control>();
-            ctl_tx.insert(i, ctx);
-            ctl_rx.insert(i, crx);
-            drops.insert(i, Arc::new(AtomicU64::new(0)));
-        }
+        let (shard_tx, shard_rx) = unbounded();
 
         // Every remote out-edge's sender lives on a pool reactor. The
         // context they share holds `done_tx`, so shutdown can wait for
         // the last sender to end.
         let (done_tx, done_rx) = bounded::<()>(0);
-        let out_edges = OutEdges {
+        let senders = Arc::new(SenderCtx {
+            endpoints: RwLock::new(endpoints),
+            cfg: cfg.clone(),
+            jitter_root,
+            partitioned: Arc::clone(&partitioned),
+            stop: Arc::clone(&stop),
+            reactors: Arc::clone(&reactors),
+            notify: notify.clone(),
+            hub: Arc::clone(&run.hub),
+            stats: delivery.clone(),
+            _done: done_tx,
+        });
+        let mut host = Host {
             topology: &topology,
-            reporter: reporter.clone(),
-            ctx: Arc::new(SenderCtx {
-                endpoints: RwLock::new(endpoint_vec),
-                cfg: cfg.clone(),
-                jitter_root,
-                partitioned: Arc::clone(&partitioned),
-                stop: Arc::clone(&stop),
-                reactors: Arc::clone(&reactors),
-                notify: notify.clone(),
-                hub: Arc::clone(&hub),
-                stats: delivery.clone(),
-                _done: done_tx,
-            }),
+            run,
+            placed,
+            senders,
+            in_edges: InEdgeRegistry::default(),
+            reporter,
+            shard_tx,
+            ckpt_tx,
         };
-        let mut remote_out: HashMap<usize, OutPort> = HashMap::new();
-        let mut remote_exc: HashMap<usize, Sender<Control>> = HashMap::new();
-        let mut in_edge_reg: HashMap<u32, Arc<InEdge>> = HashMap::new();
-        for (ei, edge) in topology.edges().iter().enumerate() {
-            let from = edge.from.index();
-            let to = edge.to.index();
-            match (is_mine[from], is_mine[to]) {
-                (true, false) => {
-                    // Outgoing remote edge: the stage writes into a
-                    // bounded bridge channel drained by a reactor-driven
-                    // sender, which starts dialing now.
-                    let port = out_edges.open(ei, &drops[&from], ctl_tx[&from].clone(), 0);
-                    remote_out.insert(ei, port);
-                }
-                (false, true) => {
-                    let (ie, etx) = InEdge::new(
-                        data_tx[&to].clone(),
-                        Arc::clone(&drops[&to]),
-                        (Arc::clone(&hub), to as u32),
-                        edge.link.flow == FlowControl::Blocking,
-                        shard_guard(&topology, to, &data_tx),
-                        reporter.on(edge_name(&topology, ei)),
-                        delivery.clone(),
-                        0,
-                        0,
-                    );
-                    remote_exc.insert(ei, etx);
-                    in_edge_reg.insert(ei as u32, ie);
-                }
-                _ => {}
-            }
-        }
-        let in_edge_reg: InEdgeRegistry = Arc::new(RwLock::new(in_edge_reg));
+        // In-edges are registered, and senders dial, before the listener
+        // accepts; the stages spawn only once the run starts.
+        let (stages, mut stage_ctl) = host_assigned(&host, &is_mine);
 
         // The data listener and every connection it accepts live on the
         // reactor pool; there is no accept thread to wake at shutdown.
         {
             let ctx = PlaneCtx {
-                reg: Arc::clone(&in_edge_reg),
+                reg: Arc::clone(&host.in_edges),
                 stop: Arc::clone(&stop),
                 partitioned: Arc::clone(&partitioned),
                 cfg: cfg.clone(),
-                buffers: buffers.clone(),
+                // Recycled read buffers shared by every data in-edge;
+                // steady state reads allocate nothing per packet.
+                buffers: BufferPool::default(),
                 reactors: Arc::clone(&reactors),
                 notify: notify.clone(),
             };
@@ -410,7 +304,6 @@ impl DistWorker {
             notify.add(reactor, token);
         }
 
-        // --- ready / start -------------------------------------------
         ctrl.send(&encode_ctrl(&CtrlMsg::Ready { name: self.name.clone() }))
             .map_err(|e| EngineError::Transport(format!("send ready: {e}")))?;
         let deadline = Instant::now() + HANDSHAKE_PATIENCE;
@@ -436,11 +329,11 @@ impl DistWorker {
             .map(|spec| PartitionWindow {
                 next: Some(Instant::now() + spec.at),
                 lasts: spec.duration,
-                reporter: reporter.on("partition"),
+                reporter: host.reporter.on("partition"),
             });
         // Control-plane chaos starts only now: the handshake above must
         // stay reliable or no run would ever assemble.
-        let ctrl_faults = reporter.on("ctrl");
+        let ctrl_faults = host.reporter.on("ctrl");
         if let Some(plan) = cfg.fault.as_ref().filter(|f| f.ctrl) {
             ctrl.set_fault_injector(Some(plan.injector_for_control(name_seed(&self.name))));
         }
@@ -450,100 +343,15 @@ impl DistWorker {
         let (ev_tx, ev_rx) = unbounded::<CtrlEvent>();
         let ctrl_handle =
             CtrlHandle::register(reactors.pick(), ctrl, ev_tx, Arc::clone(&partitioned), &notify);
-
-        // --- run the assigned stages ---------------------------------
-        let mut handles = Vec::new();
-        for i in 0..n {
-            if !is_mine[i] {
-                continue;
-            }
-            let id = StageId::from_index(i);
-            let mut out = Vec::new();
-            for ei in topology.out_edges(id) {
-                let edge = &topology.edges()[ei];
-                let to = edge.to.index();
-                if is_mine[to] {
-                    out.push(OutPort {
-                        tx: data_tx[&to].clone(),
-                        bucket: OutPort::bucket_for(edge.link.bandwidth.as_bytes_per_sec()),
-                        blocking: edge.link.flow == FlowControl::Blocking,
-                        drops: Arc::clone(&drops[&to]),
-                        wake_key: Some(to as u32),
-                        remote_wake: None,
-                    });
-                } else {
-                    out.push(remote_out.remove(&ei).expect("remote out-edge wired above"));
-                }
-            }
-            let mut upstream_ctl = Vec::new();
-            let mut upstream_keys = Vec::new();
-            for ei in topology.in_edges(id) {
-                let from = topology.edges()[ei].from.index();
-                if is_mine[from] {
-                    upstream_ctl.push(ctl_tx[&from].clone());
-                    // Local producer: consuming from our queue may
-                    // unblock its send retry, so wake it.
-                    upstream_keys.push(from as u32);
-                } else {
-                    upstream_ctl.push(remote_exc[&ei].clone());
-                }
-            }
-            let in_edges = topology.in_edges(id).len();
-            let remote_in: Vec<u32> = topology
-                .in_edges(id)
-                .into_iter()
-                .filter(|&ei| !is_mine[topology.edges()[ei].from.index()])
-                .map(|ei| ei as u32)
-                .collect();
-            let worker = StageWorker {
-                core: StageCore::new(
-                    &topology,
-                    id,
-                    worker_of[i].clone(),
-                    speed_of[i],
-                    ShardScaling::Request(shard_tx.clone()),
-                    &opts,
-                ),
-                rx: data_rx[&i].clone(),
-                ctl: ctl_rx[&i].clone(),
-                out,
-                upstream_ctl,
-                in_edges,
-                my_drops: Arc::clone(&drops[&i]),
-                opts: opts.clone(),
-                start,
-                clock: Arc::clone(&clock),
-                stop: Arc::clone(&stop),
-                checkpoint: (cfg.checkpoint_every > 0).then(|| CheckpointCfg {
-                    stage: i as u32,
-                    every: cfg.checkpoint_every,
-                    tx: ckpt_tx.clone(),
-                    cursors: cursor_probe(remote_in, &in_edge_reg),
-                }),
-                restore: None,
-                hub: Arc::clone(&hub),
-                upstream_keys,
-            };
-            handles.push(pool.spawn(Box::new(StageTask::new(worker)), i as u32));
-        }
-        // As in the threaded engine, drop local clones so channels
-        // disconnect when their peers finish. The in-edge registry
-        // legitimately keeps `data_tx` clones alive (reconnects need
-        // them); EOS counting, not disconnection, ends a stage with
-        // remote inputs.
-        drop(data_tx);
-        drop(data_rx);
-        drop(ctl_rx);
-        drop(remote_out);
-        drop(remote_exc);
-        let mut stage_ctl: Vec<Sender<Control>> = ctl_tx.values().cloned().collect();
-        drop(ctl_tx);
+        let mut handles: Vec<TaskHandle> =
+            stages.into_iter().map(|stage| stage.spawn(&pool)).collect();
 
         // --- main loop: trace/heartbeat/checkpoint relay + control ---
         // It laps at least every 10 ms, and each lap also runs the
         // partition window, the run budget and the drain backstop, and
         // polls the stages (original and adopted alike) for completion.
-        let run_end = Instant::now() + Duration::from_secs_f64(opts.max_time.as_secs_f64());
+        let run_end =
+            Instant::now() + Duration::from_secs_f64(host.run.opts.max_time.as_secs_f64());
         let mut backstop = DrainBackstop { window: cfg.drain_window, unsent: Vec::new() };
         let mut coordinator_gone = false;
         let mut last_heartbeat = Instant::now();
@@ -555,9 +363,9 @@ impl DistWorker {
             // The budget ends the run, and so does losing the
             // coordinator: an orphaned worker must not run unbounded.
             if coordinator_gone || Instant::now() >= run_end {
-                stop_stages(&stop, &stage_ctl);
+                host.run.stop_stages(&stage_ctl);
             }
-            backstop.lap(&in_edge_reg, stop.load(Ordering::Relaxed));
+            backstop.lap(&host.in_edges, stop.load(Ordering::Relaxed));
             let cut = partitioned.load(Ordering::Relaxed);
             // All trace events ready this lap coalesce into one write.
             while let Ok(event) = trace_rx.try_recv() {
@@ -580,7 +388,7 @@ impl DistWorker {
                 // acks, which is what lets senders trim replay
                 // retention.
                 {
-                    let reg = in_edge_reg.read().unwrap_or_else(|p| p.into_inner());
+                    let reg = host.in_edges.read().unwrap_or_else(|p| p.into_inner());
                     for &(edge, cur) in &cursors {
                         if let Some(ie) = reg.get(&edge) {
                             ie.durable.fetch_max(cur, Ordering::AcqRel);
@@ -642,7 +450,7 @@ impl DistWorker {
                         LinkEventKind::FaultInjected,
                         format!("ctrl frame {}: {}", af.index, af.fate.name()),
                     ),
-                    CtrlEvent::Msg(CtrlMsg::Stop) => stop_stages(&stop, &stage_ctl),
+                    CtrlEvent::Msg(CtrlMsg::Stop) => host.run.stop_stages(&stage_ctl),
                     CtrlEvent::Msg(CtrlMsg::ShardUpdate { group, epoch, map }) => {
                         // Key-range authority lives with the coordinator;
                         // workers install its broadcasts epoch-guarded,
@@ -688,7 +496,7 @@ impl DistWorker {
                             continue;
                         }
                         last_epoch = epoch;
-                        let ckpt_by_stage: HashMap<u32, CheckpointEntry> = checkpoints
+                        let mut ckpt_by_stage: HashMap<u32, CheckpointEntry> = checkpoints
                             .into_iter()
                             .map(|(s, q, crc, st, cur)| (s, (q, crc, st, cur)))
                             .collect();
@@ -697,142 +505,21 @@ impl DistWorker {
                         // a down one re-dials the new address at once.
                         for row in &rows {
                             let i = row.stage as usize;
-                            if i >= n {
-                                continue;
+                            if i < n {
+                                host.senders.set_endpoint(i, row.endpoint.clone());
+                                host.placed[i] = (row.worker.clone(), row.speed);
                             }
-                            out_edges.ctx.set_endpoint(i, row.endpoint.clone());
-                            worker_of[i] = row.worker.clone();
-                            speed_of[i] = row.speed;
                         }
                         for row in &rows {
                             let i = row.stage as usize;
                             if i >= n || row.worker != self.name || is_mine[i] {
                                 continue;
                             }
-                            // Adopt the stage: fresh channels, TCP
-                            // in-edges for the neighbors (and this
-                            // process's own senders) to re-dial, fresh
-                            // senders for its outputs, and a StageWorker
-                            // restored from the last checkpoint.
                             is_mine[i] = true;
-                            let stage = &topology.stages()[i];
-                            let id = StageId::from_index(i);
-                            let (dtx, drx) = bounded(stage.queue_capacity);
-                            let (ctx, crx) = unbounded::<Control>();
-                            let my_drops = Arc::new(AtomicU64::new(0));
-                            // Per-edge input cursors from the stage's
-                            // last checkpoint. They install regardless
-                            // of the *state* CRC below: cursors ride
-                            // the control frame (whose own CRC guards
-                            // transit), and seeding them into the fresh
-                            // in-edges is what scopes the original
-                            // senders' replay to the unprocessed tail.
-                            let restored_cursors: HashMap<u32, u64> = ckpt_by_stage
-                                .get(&(i as u32))
-                                .map(|(_, _, _, cur)| cur.iter().copied().collect())
-                                .unwrap_or_default();
-                            let mut upstream_ctl = Vec::new();
-                            for ei in topology.in_edges(id) {
-                                let edge = &topology.edges()[ei];
-                                let (ie, etx) = InEdge::new(
-                                    dtx.clone(),
-                                    Arc::clone(&my_drops),
-                                    (Arc::clone(&hub), i as u32),
-                                    edge.link.flow == FlowControl::Blocking,
-                                    // An adopted replica has no pool-local
-                                    // siblings to re-route to; its guard
-                                    // rejects instead.
-                                    shard_guard(&topology, i, &HashMap::new()),
-                                    reporter.on(edge_name(&topology, ei)),
-                                    delivery.clone(),
-                                    restored_cursors.get(&(ei as u32)).copied().unwrap_or(0),
-                                    epoch,
-                                );
-                                upstream_ctl.push(etx);
-                                in_edge_reg
-                                    .write()
-                                    .unwrap_or_else(|p| p.into_inner())
-                                    .insert(ei as u32, ie);
-                            }
-                            // All adopted outputs go out over TCP, in a
-                            // fresh sequence space: receivers see the
-                            // epoch in the hello and restart their cursors.
-                            let out = topology
-                                .out_edges(id)
-                                .into_iter()
-                                .map(|ei| out_edges.open(ei, &my_drops, ctx.clone(), epoch))
-                                .collect();
-                            // A checkpoint only counts if its bytes still
-                            // match the CRC taken at snapshot time; a
-                            // corrupted one restarts the stage fresh
-                            // rather than restoring garbage.
-                            let ckpt =
-                                ckpt_by_stage.get(&(i as u32)).and_then(|(seq, crc, state, _)| {
-                                    if crc32(state) == *crc {
-                                        Some((*seq, state))
-                                    } else {
-                                        ctrl_faults.record(
-                                            LinkEventKind::CheckpointCorrupt,
-                                            format!(
-                                                "stage {} checkpoint seq {seq} failed CRC; restarting fresh",
-                                                stage.name
-                                            ),
-                                        );
-                                        None
-                                    }
-                                });
-                            reporter.on(stage.name.clone()).record(
-                                LinkEventKind::Restored,
-                                match &ckpt {
-                                    Some((seq, _)) => format!("resumed from checkpoint seq {seq}"),
-                                    None => "restarted fresh (no checkpoint)".into(),
-                                },
-                            );
-                            let worker = StageWorker {
-                                core: StageCore::new(
-                                    &topology,
-                                    id,
-                                    self.name.clone(),
-                                    speed_of[i],
-                                    ShardScaling::Request(shard_tx.clone()),
-                                    &opts,
-                                ),
-                                rx: drx,
-                                ctl: crx,
-                                out,
-                                upstream_ctl,
-                                in_edges: topology.in_edges(id).len(),
-                                my_drops,
-                                opts: opts.clone(),
-                                start,
-                                clock: Arc::clone(&clock),
-                                stop: Arc::clone(&stop),
-                                checkpoint: (cfg.checkpoint_every > 0).then(|| CheckpointCfg {
-                                    stage: i as u32,
-                                    every: cfg.checkpoint_every,
-                                    tx: ckpt_tx.clone(),
-                                    // Every in-edge of an adopted stage
-                                    // is remote (all inputs re-dial
-                                    // over TCP).
-                                    cursors: cursor_probe(
-                                        topology
-                                            .in_edges(id)
-                                            .into_iter()
-                                            .map(|ei| ei as u32)
-                                            .collect(),
-                                        &in_edge_reg,
-                                    ),
-                                }),
-                                restore: ckpt.map(|(seq, state)| (seq, state.clone())),
-                                hub: Arc::clone(&hub),
-                                // An adopted stage's producers re-dial
-                                // over TCP; packets land via `InEdge`,
-                                // which wakes this stage itself. There
-                                // are no pool-local producers to nudge.
-                                upstream_keys: Vec::new(),
-                            };
-                            stage_ctl.push(ctx);
-                            handles.push(pool.spawn(Box::new(StageTask::new(worker)), i as u32));
+                            let ckpt = ckpt_by_stage.remove(&row.stage);
+                            let (stage, ctl) = adopt(&host, i, ckpt, epoch, &ctrl_faults);
+                            stage_ctl.push(ctl);
+                            handles.push(stage.spawn(&pool));
                         }
                     }
                     CtrlEvent::Msg(_) => {}
@@ -853,7 +540,7 @@ impl DistWorker {
         // Senders flush queued frames (end-of-stream markers included)
         // within their stop grace; each drops its `done` handle as it
         // ends, so this returns the moment the last one does.
-        drop(out_edges);
+        drop(host);
         let _ = done_rx.recv();
         // The final report is the one control exchange chaos must not
         // touch: a dropped or mangled report would turn every chaos run
@@ -893,13 +580,114 @@ impl DistWorker {
         }
         Ok(())
     }
+
+    /// Register with the coordinator, wait for the deployment, and
+    /// rebuild its topology. `None`: the coordinator stopped the run
+    /// first.
+    fn handshake(
+        &self,
+        repo: &ApplicationRepository,
+        data_addr: String,
+    ) -> Result<Option<(FrameStream, Box<AssignMsg>, Topology)>, EngineError> {
+        // Workers are often launched before the coordinator: be patient.
+        let register_policy = RetryPolicy {
+            max_attempts: 30,
+            base_delay: Duration::from_millis(100),
+            max_delay: Duration::from_secs(1),
+        };
+        let addr = &self.coordinator;
+        let coord = addr
+            .to_socket_addrs()
+            .map_err(|e| EngineError::Transport(format!("resolve {addr}: {e}")))?
+            .next()
+            .ok_or_else(|| EngineError::Transport(format!("no address for {addr}")))?;
+        let socket = connect_with_retry(coord, Duration::from_secs(2), &register_policy, |_, _| {})
+            .map_err(|e| EngineError::Transport(format!("connect to coordinator: {e}")))?;
+        let mut ctrl = FrameStream::new(socket);
+        ctrl.set_read_timeout(Some(Duration::from_millis(50)))
+            .map_err(|e| EngineError::Transport(e.to_string()))?;
+        ctrl.send(&encode_ctrl(&CtrlMsg::Hello {
+            name: self.name.clone(),
+            data_addr,
+            site: self.site.clone(),
+            speed: self.speed,
+            capacity: self.capacity,
+        }))
+        .map_err(|e| EngineError::Transport(format!("send hello: {e}")))?;
+
+        let deadline = Instant::now() + HANDSHAKE_PATIENCE;
+        let assign = loop {
+            match read_ctrl(&mut ctrl, deadline, "assignment")? {
+                CtrlMsg::Assign(a) => break a,
+                CtrlMsg::Stop => return Ok(None),
+                CtrlMsg::Reject { reason } => {
+                    return Err(EngineError::Protocol(format!(
+                        "coordinator rejected registration: {reason}"
+                    )))
+                }
+                _ => {}
+            }
+        };
+        let app = AppConfig::from_xml(&assign.app_xml)
+            .map_err(|e| EngineError::Protocol(format!("bad application config: {e}")))?;
+        let mut topology = repo
+            .build(&app)
+            .map_err(|e| EngineError::Protocol(format!("build application: {e}")))?;
+        // Override application must mirror the coordinator's exactly:
+        // stage indices, edge ids, placement rows and per-stage policies
+        // are all expressed against the expanded graph. The policy rides
+        // in the Assign's XML, so both sides read the same declaration.
+        app.apply_overrides(&mut topology)
+            .map_err(|e| EngineError::Protocol(format!("apply stage overrides: {e}")))?;
+        topology.validate().map_err(|e| EngineError::InvalidTopology(e.to_string()))?;
+        Ok(Some((ctrl, assign, topology)))
+    }
 }
 
-fn resolve(addr: &str) -> Result<SocketAddr, EngineError> {
-    addr.to_socket_addrs()
-        .map_err(|e| EngineError::Transport(format!("resolve {addr}: {e}")))?
-        .next()
-        .ok_or_else(|| EngineError::Transport(format!("no address for {addr}")))
+/// Host every stage assigned at run start, in stage order: the stages
+/// assigned here are each other's local peers, and the incarnation is
+/// zero. Returns the stages, ready to spawn, and their control channels.
+fn host_assigned(host: &Host, is_mine: &[bool]) -> (Vec<StageWorker>, Vec<Sender<Control>>) {
+    let mine = || (0..is_mine.len()).filter(|&i| is_mine[i]);
+    let mut local: HashMap<usize, Inbox> =
+        mine().map(|i| (i, Inbox::new(host.topology, i))).collect();
+    let stages = mine().map(|i| host.stage(i, &mut local, None, 0)).collect();
+    (stages, local.into_values().map(|inbox| inbox.ctl).collect())
+}
+
+/// Adopt stage `i` through failover at `epoch`: no local peers, and
+/// the last checkpoint `entry`, if any. Its cursors install regardless
+/// of the *state* CRC (the control frame's own CRC guarded them); a
+/// state failing its CRC restarts the stage fresh instead of restoring
+/// garbage. Returns the stage, ready to spawn, and its control channel.
+fn adopt(
+    host: &Host,
+    i: usize,
+    entry: Option<CheckpointEntry>,
+    epoch: u64,
+    ctrl_faults: &LinkReporter,
+) -> (StageWorker, Sender<Control>) {
+    let name = &host.topology.stages()[i].name;
+    let restore = entry.map(|(seq, crc, state, cursors)| {
+        let intact = crc32(&state) == crc;
+        if !intact {
+            ctrl_faults.record(
+                LinkEventKind::CheckpointCorrupt,
+                format!("stage {name} checkpoint seq {seq} failed CRC; restarting fresh"),
+            );
+        }
+        Restore { cursors: cursors.into_iter().collect(), state: intact.then_some((seq, state)) }
+    });
+    host.reporter.on(name.clone()).record(
+        LinkEventKind::Restored,
+        match restore.as_ref().and_then(|r| r.state.as_ref()) {
+            Some((seq, _)) => format!("resumed from checkpoint seq {seq}"),
+            None => "restarted fresh (no checkpoint)".into(),
+        },
+    );
+    let mut own = HashMap::from([(i, Inbox::new(host.topology, i))]);
+    let stage = host.stage(i, &mut own, restore, epoch);
+    (stage, own.remove(&i).expect("the adopted stage's inbox").ctl)
 }
 
 /// Recorder that forwards every event into a channel; the worker's main
@@ -928,7 +716,7 @@ pub(super) struct LinkReporter {
 
 impl LinkReporter {
     /// The same recorder, clock and node, reporting on `link`.
-    fn on(&self, link: impl Into<String>) -> LinkReporter {
+    pub(super) fn on(&self, link: impl Into<String>) -> LinkReporter {
         LinkReporter { link: link.into(), ..self.clone() }
     }
 
@@ -942,256 +730,6 @@ impl LinkReporter {
                 detail: detail.into(),
             }));
         }
-    }
-}
-
-/// The flight-recorder name of edge `ei`: `from->to` stage names.
-fn edge_name(topology: &Topology, ei: usize) -> String {
-    let edge = &topology.edges()[ei];
-    let stages = topology.stages();
-    format!("{}->{}", stages[edge.from.index()].name, stages[edge.to.index()].name)
-}
-
-/// Shard identity of a receiving replica, carried by its in-edges so
-/// the in-edge sources can verify ownership of every delivered key.
-pub(super) struct InShard {
-    /// The replica group's shared router (the receiver's current view).
-    pub(super) router: Arc<ShardRouter>,
-    /// This replica's ordinal within the group.
-    pub(super) ordinal: u32,
-    /// Input queues of same-group replicas hosted in this process,
-    /// keyed by ordinal — the local re-route targets for packets a
-    /// stale-mapped sender aimed at the wrong shard.
-    pub(super) siblings: HashMap<u32, (Sender<Queued>, u32)>,
-}
-
-/// Build the [`InShard`] guard for packets arriving at stage index
-/// `stage`, when that stage is a replica. `local_tx` holds the input
-/// queues of locally hosted stages (re-route targets); pass an empty map
-/// for a reject-only guard.
-fn shard_guard(
-    topology: &Topology,
-    stage: usize,
-    local_tx: &HashMap<usize, Sender<Queued>>,
-) -> Option<InShard> {
-    let (gi, ordinal) = topology.replica_of(StageId::from_index(stage))?;
-    let group = &topology.groups()[gi];
-    let mut siblings = HashMap::new();
-    for (k, m) in group.members.iter().enumerate() {
-        if k != ordinal {
-            if let Some(tx) = local_tx.get(&m.index()) {
-                siblings.insert(k as u32, (tx.clone(), m.index() as u32));
-            }
-        }
-    }
-    Some(InShard { router: Arc::clone(&group.router), ordinal: ordinal as u32, siblings })
-}
-
-/// Build the per-stage checkpoint cursor sampler: for each remote
-/// in-edge, the highest input sequence the stage has *consumed* (taken
-/// off its queue, so processed by the time the sampler runs between
-/// packets). Stages with no remote inputs get `None` (their checkpoints
-/// carry no cursors).
-fn cursor_probe(remote_in: Vec<u32>, reg: &InEdgeRegistry) -> Option<CursorProbe> {
-    if remote_in.is_empty() {
-        return None;
-    }
-    let reg = Arc::clone(reg);
-    Some(Arc::new(move || {
-        let edges = reg.read().unwrap_or_else(|p| p.into_inner());
-        remote_in
-            .iter()
-            .filter_map(|ei| {
-                let credit = edges.get(ei)?.credit.lock().unwrap_or_else(|p| p.into_inner());
-                Some((*ei, credit.consumed()))
-            })
-            .collect()
-    }))
-}
-
-/// Capacity of a remote out-edge's bridge channel: the link's buffer.
-/// `LinkSpec::local()` advertises an effectively unbounded buffer and
-/// crossbeam preallocates, so it is capped.
-fn bridge_cap(link: &LinkSpec) -> usize {
-    link.buffer_packets.clamp(1, 1024)
-}
-
-/// The acked replay window of a remote out-edge. A blocking edge's
-/// credit is its bridge capacity, capped by `ack_window`, so no more
-/// packets wait at the receiver than the link buffers; a lossy edge
-/// keeps the whole `ack_window`.
-fn edge_window(link: &LinkSpec, cfg: &DistConfig) -> AckWindow {
-    let credit = match link.flow {
-        FlowControl::Blocking => bridge_cap(link).min(cfg.ack_window),
-        FlowControl::Lossy => cfg.ack_window,
-    };
-    AckWindow::new(credit, cfg.replay_retain)
-}
-
-/// Wires the remote out-edges of one worker: [`OutEdges::open`] builds
-/// one edge's bridge channel, the sending stage's [`OutPort`] onto it,
-/// and the [`SenderConn`] that drains it, at run start and for a stage
-/// adopted through failover alike.
-struct OutEdges<'a> {
-    topology: &'a Topology,
-    /// This worker's link-event reporter; each edge names its own link.
-    reporter: LinkReporter,
-    ctx: Arc<SenderCtx>,
-}
-
-impl OutEdges<'_> {
-    /// Wire out-edge `ei` of a stage whose drop counter is `drops` and
-    /// whose control channel is `upstream`. While the link is down the
-    /// transport attributes dropped packets to that *sending* stage (it
-    /// cannot see the receiver's queue). `incarnation` is zero at run
-    /// start and the failover epoch for an adopted stage.
-    fn open(
-        &self,
-        ei: usize,
-        drops: &Arc<AtomicU64>,
-        upstream: Sender<Control>,
-        incarnation: u64,
-    ) -> OutPort {
-        let edge = &self.topology.edges()[ei];
-        let (tx, rx) = bounded::<Queued>(bridge_cap(&edge.link));
-        let wake = SenderConn::start(
-            &self.ctx,
-            OutEdge {
-                edge: ei as u32,
-                to_stage: edge.to.index(),
-                incarnation,
-                rx,
-                upstream,
-                drops: Arc::clone(drops),
-                reporter: self.reporter.on(edge_name(self.topology, ei)),
-                producer: edge.from.index() as u32,
-                window: edge_window(&edge.link, &self.ctx.cfg),
-            },
-        );
-        OutPort {
-            tx,
-            bucket: OutPort::bucket_for(edge.link.bandwidth.as_bytes_per_sec()),
-            blocking: edge.link.flow == FlowControl::Blocking,
-            drops: Arc::clone(drops),
-            // Drained by a reactor source, not a pool-local stage.
-            wake_key: None,
-            remote_wake: Some(wake),
-        }
-    }
-}
-
-/// Receiver-side state of one remote in-edge, shared between the
-/// reactor sources pumping its connections and the drain backstop.
-pub(super) struct InEdge {
-    /// Input queue of the receiving stage.
-    pub(super) data_tx: Sender<Queued>,
-    /// Ownership guard when the receiving stage is a replica.
-    pub(super) shard: Option<InShard>,
-    pub(super) blocking: bool,
-    /// Queue-full drop counter of the receiving stage.
-    pub(super) drops: Arc<AtomicU64>,
-    /// Exceptions from the receiving stage, to be written upstream.
-    pub(super) exc_rx: Receiver<Control>,
-    /// Exactly-once end-of-stream delivery: set by the first EOS frame
-    /// or by the drain backstop, whichever comes first.
-    pub(super) eos_forwarded: AtomicBool,
-    pub(super) connected: AtomicBool,
-    /// When the link last went down (or registration time, if the
-    /// sender has not connected yet); cleared while connected.
-    pub(super) disconnected_at: Mutex<Option<Instant>>,
-    /// Total accepted connections for this edge (>1 means reconnects).
-    pub(super) connections: AtomicU64,
-    /// Set on edges registered during failover: the first data packet
-    /// emits a `Resumed` event, marking the moment the adopted stage's
-    /// input stream came back to life.
-    pub(super) announce_resume: AtomicBool,
-    /// Wake hub of the pool hosting the receiving stage, plus that
-    /// stage's executor key: a delivered packet nudges the stage out of
-    /// its empty-queue park immediately instead of waiting out the tick.
-    pub(super) hub: Arc<WakeHub>,
-    pub(super) wake_key: u32,
-    pub(super) reporter: LinkReporter,
-    /// Highest contiguously delivered sequence on this edge — the
-    /// receiver-side at-least-once cursor. Frames at or below it are
-    /// duplicates; frame `cursor + 1` is the next deliverable.
-    pub(super) cursor: AtomicU64,
-    /// Highest sequence covered by a relayed checkpoint, acked back as
-    /// durable so the sender can trim replay retention.
-    pub(super) durable: AtomicU64,
-    /// Consume side of the current sender incarnation's sequence space;
-    /// replaced together with the cursor reset.
-    pub(super) credit: Mutex<Arc<EdgeCredit>>,
-    /// Incarnation of the sender currently attached (`u64::MAX` until
-    /// the first hello). A changed incarnation means a fresh sequence
-    /// space: cursor and durable reset to zero.
-    pub(super) sender_incarnation: AtomicU64,
-    /// Failover epoch at which this edge was (re)registered. A first
-    /// hello with `incarnation >= adoption_epoch` comes from a sender
-    /// that was itself adopted (fresh sequence space); an older
-    /// incarnation is the original sender resuming into the restored
-    /// cursor.
-    pub(super) adoption_epoch: u64,
-    /// Worker-global delivery counters.
-    pub(super) stats: DeliveryStats,
-}
-
-impl InEdge {
-    /// A fresh in-edge into the stage behind `data_tx`, woken through
-    /// `wake`, and the sender its stage reports exceptions upstream on.
-    /// No sender is connected yet, so one that never connects at all
-    /// still drains after the window. `cursor` seeds the delivered,
-    /// durable and consumed cursors: zero at run start, the restored
-    /// checkpoint's for an adopted stage. An edge registered by failover
-    /// (`adoption_epoch` > 0) announces its first packet.
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        data_tx: Sender<Queued>,
-        drops: Arc<AtomicU64>,
-        (hub, wake_key): (Arc<WakeHub>, u32),
-        blocking: bool,
-        shard: Option<InShard>,
-        reporter: LinkReporter,
-        stats: DeliveryStats,
-        cursor: u64,
-        adoption_epoch: u64,
-    ) -> (Arc<InEdge>, Sender<Control>) {
-        let (exc_tx, exc_rx) = unbounded::<Control>();
-        let edge = InEdge {
-            data_tx,
-            shard,
-            blocking,
-            drops,
-            exc_rx,
-            eos_forwarded: AtomicBool::new(false),
-            connected: AtomicBool::new(false),
-            disconnected_at: Mutex::new(Some(Instant::now())),
-            connections: AtomicU64::new(0),
-            announce_resume: AtomicBool::new(adoption_epoch > 0),
-            hub,
-            wake_key,
-            reporter,
-            cursor: AtomicU64::new(cursor),
-            durable: AtomicU64::new(cursor),
-            credit: Mutex::new(EdgeCredit::new(cursor, blocking)),
-            sender_incarnation: AtomicU64::new(u64::MAX),
-            adoption_epoch,
-            stats,
-        };
-        (Arc::new(edge), exc_tx)
-    }
-
-    pub(super) fn wake_receiver(&self) {
-        self.hub.wake(self.wake_key);
-    }
-}
-
-/// Set the stop flag and, the first time only, tell every stage.
-fn stop_stages(stop: &AtomicBool, stages: &[Sender<Control>]) {
-    if stop.swap(true, Ordering::Relaxed) {
-        return;
-    }
-    for c in stages {
-        let _ = c.send(Control::Stop);
     }
 }
 
@@ -1278,41 +816,208 @@ impl DrainBackstop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::RealClock;
+    use crate::executor::WakeHub;
+    use crate::runtime::Queued;
+    use crossbeam::channel::Receiver;
+    use gates_core::{StageApi, StageBuilder, StageId, StreamProcessor};
+    use gates_net::{FrameKind, LinkSpec, Reactor};
 
-    /// An in-edge into a stage queue of `capacity`, reporting link
-    /// events on the returned channel, registered as edge 0 of `reg`.
-    fn edge(
-        capacity: usize,
-    ) -> (InEdgeRegistry, Arc<InEdge>, Receiver<Queued>, Receiver<TraceEvent>) {
-        let (data_tx, data_rx) = bounded(capacity);
-        let (trace_tx, trace_rx) = unbounded();
-        let reporter = LinkReporter {
-            recorder: Arc::new(ChannelRecorder { tx: trace_tx }),
-            clock: Arc::new(RealClock::anchored_now()),
-            link: "up->down".into(),
-            node: "w".into(),
-        };
-        let wake = (Arc::new(WakeHub::new()), 0);
-        let (ie, _exc) = InEdge::new(
-            data_tx,
-            Arc::default(),
-            wake,
-            true,
-            None,
-            reporter,
-            DeliveryStats::default(),
-            0,
-            0,
-        );
-        let reg: InEdgeRegistry = Arc::new(RwLock::new(HashMap::from([(0, Arc::clone(&ie))])));
-        (reg, ie, data_rx, trace_rx)
+    use super::super::proto::decode_ctrl;
+    use super::super::DistConfig;
+
+    struct Idle;
+    impl StreamProcessor for Idle {
+        fn process(&mut self, _packet: Packet, _api: &mut StageApi) {}
     }
 
-    fn drained_events(trace: &Receiver<TraceEvent>) -> usize {
-        std::iter::from_fn(|| trace.try_recv().ok())
-            .filter(|e| matches!(e, TraceEvent::Link(l) if l.kind == LinkEventKind::Drained))
-            .count()
+    /// Stages `(name, queue capacity)` joined by blocking edges
+    /// `(from, to)`, in edge-id order.
+    fn topology(stages: &[(&str, usize)], edges: &[(usize, usize)]) -> Topology {
+        let mut t = Topology::new();
+        for &(name, capacity) in stages {
+            t.add_stage_raw(StageBuilder::new(name).queue_capacity(capacity).processor(|| Idle))
+                .expect("unique names");
+        }
+        for &(from, to) in edges {
+            let link = LinkSpec::local().blocking();
+            t.connect(StageId::from_index(from), StageId::from_index(to), link);
+        }
+        t
+    }
+
+    /// The reactor a test host's senders run on, and the link events
+    /// the host records. Shuts the reactor down on drop.
+    struct Rig {
+        reactor: Reactor,
+        events: Receiver<TraceEvent>,
+    }
+
+    impl Drop for Rig {
+        fn drop(&mut self) {
+            self.reactor.shutdown();
+        }
+    }
+
+    impl Rig {
+        /// Details of the link events of `kind` recorded so far.
+        fn recorded(&self, kind: LinkEventKind) -> Vec<String> {
+            std::iter::from_fn(|| self.events.try_recv().ok())
+                .filter_map(|e| match e {
+                    TraceEvent::Link(l) if l.kind == kind => Some(l.detail),
+                    _ => None,
+                })
+                .collect()
+        }
+    }
+
+    /// A worker's host for `topology`, every stage placed at `endpoint`.
+    fn host<'t>(topology: &'t Topology, endpoint: &str) -> (Host<'t>, Rig) {
+        let reactor = Reactor::spawn("host-test").expect("spawn reactor");
+        let (trace_tx, events) = unbounded();
+        let run = RunCtx::new(RunOptions::default(), Arc::new(WakeHub::new()));
+        let n = topology.stages().len();
+        let senders = Arc::new(SenderCtx {
+            endpoints: RwLock::new(vec![endpoint.to_string(); n]),
+            cfg: DistConfig::default(),
+            jitter_root: 7,
+            partitioned: Arc::default(),
+            stop: Arc::clone(&run.stop),
+            reactors: Arc::new(ReactorPool::new(vec![reactor.clone()])),
+            notify: NotifyList::default(),
+            hub: Arc::clone(&run.hub),
+            stats: DeliveryStats::default(),
+            _done: bounded(0).0,
+        });
+        let reporter = LinkReporter {
+            recorder: Arc::new(ChannelRecorder { tx: trace_tx }),
+            clock: Arc::clone(&run.clock),
+            link: String::new(),
+            node: "w".into(),
+        };
+        let host = Host {
+            topology,
+            run,
+            placed: vec![("w".into(), 1.0); n],
+            senders,
+            in_edges: InEdgeRegistry::default(),
+            reporter,
+            shard_tx: unbounded().0,
+            ckpt_tx: unbounded().0,
+        };
+        (host, Rig { reactor, events })
+    }
+
+    #[test]
+    fn run_start_wires_local_producers_in_process_and_remote_ones_over_tcp() {
+        // `a` and `j` are assigned here, `b` elsewhere; both feed `j`.
+        let t = topology(&[("a", 8), ("b", 8), ("j", 8)], &[(0, 2), (1, 2)]);
+        let (host, _rig) = host(&t, "127.0.0.1:1");
+        let (stages, ctl) = host_assigned(&host, &[true, false, true]);
+        assert_eq!(ctl.len(), 2);
+        let (a, j) = (&stages[0], &stages[1]);
+        assert_eq!(a.out[0].wake_key, Some(2), "a feeds j in-process");
+        assert!(a.out[0].remote_wake.is_none());
+        let keys: Vec<Option<u32>> = j.upstream.iter().map(|up| up.key).collect();
+        assert_eq!(keys, [Some(0), None], "only the local producer is woken");
+        let registered: Vec<u32> = host.in_edges.read().unwrap().keys().copied().collect();
+        assert_eq!(registered, vec![1], "only the remote edge is registered");
+        let probe = j.checkpoint.as_ref().and_then(|c| c.cursors.as_ref()).expect("a probe");
+        assert_eq!(probe(), vec![(1, 0)], "the probe samples the remote edge only");
+        assert!(a.checkpoint.as_ref().unwrap().cursors.is_none(), "a has no remote input");
+    }
+
+    const EPOCH: u64 = 3;
+
+    /// `src0` and `src1` feed `mid`, which feeds `sink`: adopt `mid` at
+    /// [`EPOCH`] from a checkpoint at seq 9 that put edge 0's cursor at
+    /// 42 and edge 1's at 7, its state intact or not, every stage placed
+    /// at `listener`.
+    fn adopt_mid(listener: &TcpListener, intact: bool) -> (StageWorker, InEdgeRegistry, Rig) {
+        let t = topology(
+            &[("src0", 8), ("src1", 8), ("mid", 8), ("sink", 8)],
+            &[(0, 2), (1, 2), (2, 3)],
+        );
+        let (host, rig) = host(&t, &listener.local_addr().unwrap().to_string());
+        let state = b"counts".to_vec();
+        let crc = crc32(&state) ^ u32::from(!intact);
+        let entry = (9, crc, state, vec![(0, 42), (1, 7)]);
+        let (mid, _ctl) = adopt(&host, 2, Some(entry), EPOCH, &host.reporter.on("ctrl"));
+        (mid, Arc::clone(&host.in_edges), rig)
+    }
+
+    /// The first frame a sender opens its connection to `listener` with.
+    fn first_frame(listener: &TcpListener) -> gates_net::Frame {
+        listener.set_nonblocking(true).expect("nonblocking");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let socket = loop {
+            match listener.accept() {
+                Ok((socket, _)) => break socket,
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock && Instant::now() < deadline =>
+                {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(e) => panic!("the sender never connected: {e}"),
+            }
+        };
+        socket.set_nonblocking(false).expect("blocking");
+        let mut fs = FrameStream::new(socket);
+        fs.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+        fs.read_frame().expect("read").expect("a frame")
+    }
+
+    #[test]
+    fn adoption_resumes_every_in_edge_at_its_cursor_and_dials_out_in_the_new_incarnation() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let (mid, reg, rig) = adopt_mid(&listener, true);
+        assert_eq!(mid.restore, Some((9, b"counts".to_vec())));
+        assert_eq!(mid.upstream.len(), 2);
+        assert!(mid.upstream.iter().all(|up| up.key.is_none()), "no producer is local");
+        let reg = reg.read().unwrap();
+        for (edge, cursor) in [(0, 42), (1, 7)] {
+            let ie = &reg[&edge];
+            assert_eq!(ie.cursor.load(Ordering::Relaxed), cursor);
+            assert_eq!(ie.durable.load(Ordering::Relaxed), cursor);
+            assert_eq!(ie.credit.lock().unwrap().consumed(), cursor);
+            assert_eq!(ie.adoption_epoch, EPOCH);
+            assert!(ie.announce_resume.load(Ordering::Relaxed));
+        }
+        assert!(mid.out.iter().all(|p| p.wake_key.is_none() && p.remote_wake.is_some()));
+        let hello = first_frame(&listener);
+        assert_eq!(hello.kind, FrameKind::Control);
+        assert!(matches!(
+            decode_ctrl(&hello),
+            Ok(CtrlMsg::EdgeHello { edge: 2, incarnation: EPOCH })
+        ));
+        assert_eq!(rig.recorded(LinkEventKind::Restored), ["resumed from checkpoint seq 9"]);
+    }
+
+    #[test]
+    fn a_checkpoint_failing_its_crc_restores_no_state_but_keeps_its_cursors() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let (mid, reg, rig) = adopt_mid(&listener, false);
+        assert_eq!(mid.restore, None);
+        assert_eq!(reg.read().unwrap()[&0].cursor.load(Ordering::Relaxed), 42);
+        let events: Vec<TraceEvent> = std::iter::from_fn(|| rig.events.try_recv().ok()).collect();
+        let kinds = |kind| {
+            events.iter().filter(|e| matches!(e, TraceEvent::Link(l) if l.kind == kind)).count()
+        };
+        assert_eq!(kinds(LinkEventKind::CheckpointCorrupt), 1);
+        assert_eq!(kinds(LinkEventKind::Restored), 1);
+    }
+
+    /// An in-edge into a stage queue of `capacity`, registered as edge 0
+    /// of the returned registry; the rig records its link events.
+    fn edge(capacity: usize) -> (InEdgeRegistry, Arc<InEdge>, Receiver<Queued>, Rig) {
+        let t = topology(&[("up", 1), ("down", capacity)], &[(0, 1)]);
+        let (host, rig) = host(&t, "127.0.0.1:1");
+        let (stages, _ctl) = host_assigned(&host, &[false, true]);
+        let ie = Arc::clone(&host.in_edges.read().unwrap()[&0]);
+        (Arc::clone(&host.in_edges), ie, stages[0].rx.clone(), rig)
+    }
+
+    fn drained_events(rig: &Rig) -> usize {
+        rig.recorded(LinkEventKind::Drained).len()
     }
 
     /// A backstop whose window has passed for every edge already.

@@ -32,15 +32,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, Sender, TryRecvError, TrySendError};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError, TrySendError};
 
 use gates_core::adapt::LoadException;
 use gates_core::report::StageReport;
-use gates_core::{Packet, SourceStatus};
-use gates_net::{Reactor, Token, TokenBucket};
+use gates_core::{Packet, SourceStatus, Topology};
+use gates_net::{FlowControl, LinkSpec, Reactor, Token, TokenBucket};
 use gates_sim::{SimDuration, SimTime};
 
-use crate::executor::{Activation, Step, WakeHub};
+use crate::clock::EngineClock;
+use crate::executor::{Activation, CorePool, Step, TaskHandle, WakeHub};
 use crate::options::RunOptions;
 use crate::stage_core::StageCore;
 
@@ -70,8 +71,6 @@ pub(crate) enum Control {
 /// hosting process relays it to the coordinator. A checkpoint with an
 /// empty state and no cursors is skipped.
 pub(crate) struct CheckpointCfg {
-    /// Global stage index (topology order), echoed in each checkpoint.
-    pub(crate) stage: u32,
     /// Cadence in input packets; zero disables emission.
     pub(crate) every: u64,
     /// Where snapshots go: `(stage, seq, state, cursors)`.
@@ -258,46 +257,150 @@ pub(crate) struct OutPort {
 }
 
 impl OutPort {
-    /// The token bucket used by every wall-clock runtime for a link of
-    /// `bytes_per_sec`: ~50 ms of burst allowance for smooth pacing.
-    pub(crate) fn bucket_for(bytes_per_sec: f64) -> TokenBucket {
-        TokenBucket::new(bytes_per_sec, (bytes_per_sec * 0.05).clamp(64.0, 4096.0))
+    /// A port writing into `tx`, paced and flow-controlled per `link`,
+    /// counting its drops on `drops`; nothing to wake yet. The token
+    /// bucket allows ~50 ms of burst for smooth pacing.
+    pub(crate) fn new(link: &LinkSpec, tx: Sender<Queued>, drops: &Arc<AtomicU64>) -> OutPort {
+        let rate = link.bandwidth.as_bytes_per_sec();
+        OutPort {
+            tx,
+            bucket: TokenBucket::new(rate, (rate * 0.05).clamp(64.0, 4096.0)),
+            blocking: link.flow == FlowControl::Blocking,
+            drops: Arc::clone(drops),
+            wake_key: None,
+            remote_wake: None,
+        }
+    }
+
+    /// An in-process edge over `link` into the stage behind `to`.
+    pub(crate) fn local(link: &LinkSpec, to: &Inbox) -> OutPort {
+        OutPort { wake_key: Some(to.key), ..OutPort::new(link, to.tx.clone(), &to.drops) }
+    }
+}
+
+/// What every stage of one wall-clock run shares, built once per run.
+#[derive(Clone)]
+pub(crate) struct RunCtx {
+    pub(crate) opts: RunOptions,
+    /// Drives real scheduling (pacing, retry deadlines).
+    pub(crate) start: Instant,
+    /// Observed-time source (see [`crate::clock::EngineClock`]): every
+    /// time the cores see reads from it.
+    pub(crate) clock: Arc<dyn EngineClock>,
+    /// Engine-wide stop flag. Stages poll it from inside blocking sends
+    /// and service sleeps, where a `Control::Stop` alone could arrive
+    /// too late (or never, if the stage is wedged in a send).
+    pub(crate) stop: Arc<AtomicBool>,
+    /// Wake hub of the pool hosting the run's stages.
+    pub(crate) hub: Arc<WakeHub>,
+}
+
+impl RunCtx {
+    /// A run starting now, its stages hosted on the pool behind `hub`.
+    pub(crate) fn new(opts: RunOptions, hub: Arc<WakeHub>) -> RunCtx {
+        RunCtx { start: Instant::now(), clock: opts.run_clock(), stop: Arc::default(), hub, opts }
+    }
+
+    /// Set the stop flag and, the first time only, tell every stage.
+    pub(crate) fn stop_stages(&self, stages: &[Sender<Control>]) {
+        if !self.stop.swap(true, Ordering::Relaxed) {
+            for c in stages {
+                let _ = c.send(Control::Stop);
+            }
+        }
+    }
+}
+
+/// A stage's bounded queue, control channel, drop counter and executor
+/// key. [`StageWorker::new`] moves the receiving ends into the stage: a
+/// receiver clone kept elsewhere would wedge shutdown, since a stage
+/// blocked on a finished stage's full queue would never see it close.
+pub(crate) struct Inbox {
+    /// The stage's executor key on its pool: its topology index.
+    pub(crate) key: u32,
+    pub(crate) tx: Sender<Queued>,
+    pub(crate) ctl: Sender<Control>,
+    /// Queue-full drops, counted against this stage.
+    pub(crate) drops: Arc<AtomicU64>,
+    receivers: Option<(Receiver<Queued>, Receiver<Control>)>,
+}
+
+impl Inbox {
+    /// The inbox of stage index `stage`, its queue bounded by the
+    /// stage's `queue_capacity`.
+    pub(crate) fn new(topology: &Topology, stage: usize) -> Inbox {
+        let (tx, rx) = bounded(topology.stages()[stage].queue_capacity);
+        let (ctl, ctl_rx) = unbounded();
+        Inbox { key: stage as u32, tx, ctl, drops: Arc::default(), receivers: Some((rx, ctl_rx)) }
+    }
+}
+
+/// One in-edge as its stage sees it.
+pub(crate) struct Upstream {
+    /// Where the stage's load exceptions for the producer go.
+    pub(crate) ctl: Sender<Control>,
+    /// Executor key of a producer on the same pool: after draining input
+    /// the stage wakes it, so a send blocked on the full queue retries
+    /// at once. `None` for a remote producer, whose in-edge wakes the
+    /// stage itself.
+    pub(crate) key: Option<u32>,
+}
+
+impl Upstream {
+    /// A producer on the same pool, behind `producer`.
+    pub(crate) fn local(producer: &Inbox) -> Upstream {
+        Upstream { ctl: producer.ctl.clone(), key: Some(producer.key) }
     }
 }
 
 /// Per-stage wiring for one wall-clock run: the [`StageCore`], its
-/// channels and out-edges, and the observe/adapt cadence. Drive it with
-/// [`StageTask`] on a pool.
+/// channels and out-edges, and the observe/adapt cadence. Build it with
+/// [`StageWorker::new`] and start it with [`StageWorker::spawn`].
 pub(crate) struct StageWorker {
     pub(crate) core: StageCore,
+    pub(crate) run: RunCtx,
+    /// Executor key on the run's pool.
+    pub(crate) key: u32,
     pub(crate) rx: Receiver<Queued>,
     pub(crate) ctl: Receiver<Control>,
+    pub(crate) my_drops: Arc<AtomicU64>,
     /// Physical out-edges, in [`gates_core::Topology::out_edges`] order:
     /// the ports the core's routes resolve to.
     pub(crate) out: Vec<OutPort>,
-    pub(crate) upstream_ctl: Vec<Sender<Control>>,
-    pub(crate) in_edges: usize,
-    pub(crate) my_drops: Arc<AtomicU64>,
-    pub(crate) opts: RunOptions,
-    pub(crate) start: Instant,
-    /// Observed-time source (see [`crate::clock::EngineClock`]): every
-    /// time the core sees reads from it, while `start` keeps driving
-    /// real scheduling (pacing, retry deadlines).
-    pub(crate) clock: std::sync::Arc<dyn crate::clock::EngineClock>,
-    /// Engine-wide stop flag (see [`crate::ThreadedEngine::run`]).
-    pub(crate) stop: Arc<AtomicBool>,
+    /// One per in-edge; a source has none.
+    pub(crate) upstream: Vec<Upstream>,
     /// Periodic state snapshots for failover (dist runtime only).
     pub(crate) checkpoint: Option<CheckpointCfg>,
     /// `(seq, state)` of the checkpoint a stage adopted during failover
     /// resumes from: the state is restored right after `on_start`, and
     /// the stage's own checkpoints count on from `seq`.
     pub(crate) restore: Option<(u64, Vec<u8>)>,
-    /// Wake hub of the pool hosting this run's stages.
-    pub(crate) hub: Arc<WakeHub>,
-    /// Executor keys of upstream stages on the same pool: after draining
-    /// input this stage wakes them so senders blocked on its full queue
-    /// retry immediately.
-    pub(crate) upstream_keys: Vec<u32>,
+}
+
+impl StageWorker {
+    /// The one place a wall-clock stage is wired, for the threaded
+    /// engine and the dist worker alike: `core` fed from `inbox`,
+    /// writing into `out` (in out-edge order), with one [`Upstream`] per
+    /// in-edge.
+    pub(crate) fn new(
+        run: RunCtx,
+        core: StageCore,
+        inbox: &mut Inbox,
+        out: Vec<OutPort>,
+        upstream: Vec<Upstream>,
+        checkpoint: Option<CheckpointCfg>,
+        restore: Option<(u64, Vec<u8>)>,
+    ) -> StageWorker {
+        let (rx, ctl) = inbox.receivers.take().expect("an inbox feeds exactly one stage");
+        let (key, my_drops) = (inbox.key, Arc::clone(&inbox.drops));
+        StageWorker { core, run, key, rx, ctl, my_drops, out, upstream, checkpoint, restore }
+    }
+
+    /// Start the stage on `pool`.
+    pub(crate) fn spawn(self, pool: &CorePool) -> TaskHandle {
+        let key = self.key;
+        pool.spawn(Box::new(StageTask::new(self)), key)
+    }
 }
 
 /// How many queued zero-service packets one activation may process
@@ -392,11 +495,11 @@ impl Activation for StageTask {
 
 impl StageTask {
     pub(crate) fn new(w: StageWorker) -> Self {
-        let observe_every = Duration::from_secs_f64(w.opts.observe_interval.as_secs_f64());
-        let adapt_every = Duration::from_secs_f64(w.opts.adapt_interval.as_secs_f64());
+        let observe_every = Duration::from_secs_f64(w.run.opts.observe_interval.as_secs_f64());
+        let adapt_every = Duration::from_secs_f64(w.run.opts.adapt_interval.as_secs_f64());
         let tick = observe_every.min(Duration::from_millis(10));
-        let is_source = w.in_edges == 0;
-        let eos_remaining = w.in_edges;
+        let is_source = w.upstream.is_empty();
+        let eos_remaining = w.upstream.len();
         StageTask {
             w,
             is_source,
@@ -418,7 +521,7 @@ impl StageTask {
     }
 
     fn now(&self) -> SimTime {
-        SimTime::from_secs_f64(self.w.clock.now_secs())
+        SimTime::from_secs_f64(self.w.run.clock.now_secs())
     }
 
     /// Run one bounded slice of the stage.
@@ -426,7 +529,7 @@ impl StageTask {
         if !self.started {
             self.init();
         }
-        if !self.stopped && self.w.stop.load(Ordering::Relaxed) {
+        if !self.stopped && self.w.run.stop.load(Ordering::Relaxed) {
             self.enter_finish(true);
         }
         self.drain_control();
@@ -518,8 +621,8 @@ impl StageTask {
             let now = self.now();
             let depth = self.w.rx.len();
             if let Some(exception) = self.w.core.observe(now, depth) {
-                for up in &self.w.upstream_ctl {
-                    let _ = up.send(Control::Exception(exception));
+                for up in &self.w.upstream {
+                    let _ = up.ctl.send(Control::Exception(exception));
                 }
             }
             let dropped = self.w.my_drops.load(Ordering::Relaxed);
@@ -554,7 +657,7 @@ impl StageTask {
     fn step_receive(&mut self) -> Step {
         let mut consumed = false;
         for _ in 0..RECV_BATCH {
-            if self.w.stop.load(Ordering::Relaxed) {
+            if self.w.run.stop.load(Ordering::Relaxed) {
                 self.enter_finish(true);
                 break;
             }
@@ -706,13 +809,13 @@ impl StageTask {
     /// never wedges on a full queue whose consumer already quit.
     fn pump_outbox(&mut self) -> Option<Step> {
         loop {
-            let stop = self.stopped || self.w.stop.load(Ordering::Relaxed);
+            let stop = self.stopped || self.w.run.stop.load(Ordering::Relaxed);
             let head = self.outbox.front_mut()?;
             if head.ready_at.is_none() {
                 if stop {
                     head.ready_at = Some(Instant::now());
                 } else {
-                    let now = self.w.start.elapsed().as_secs_f64();
+                    let now = self.w.run.start.elapsed().as_secs_f64();
                     let wait = self.w.out[head.port].bucket.acquire(head.packet.wire_len(), now);
                     if wait > 0.0 {
                         self.bucket_waited += wait;
@@ -781,7 +884,7 @@ impl StageTask {
     /// the wake hub, or a reactor-driven remote sender via its ping.
     fn wake_port(&self, port: usize) {
         if let Some(key) = self.w.out[port].wake_key {
-            self.w.hub.wake(key);
+            self.w.run.hub.wake(key);
         }
         if let Some(w) = &self.w.out[port].remote_wake {
             ping_sender(w);
@@ -794,8 +897,8 @@ impl StageTask {
         if !consumed {
             return;
         }
-        for &key in &self.w.upstream_keys {
-            self.w.hub.wake(key);
+        for key in self.w.upstream.iter().filter_map(|up| up.key) {
+            self.w.run.hub.wake(key);
         }
     }
 
@@ -817,7 +920,7 @@ impl StageTask {
         let state = self.w.core.snapshot();
         let cursors = cfg.cursors.as_ref().map(|f| f()).unwrap_or_default();
         if !state.is_empty() || !cursors.is_empty() {
-            let _ = cfg.tx.send((cfg.stage, self.ckpt_base + progress, state, cursors));
+            let _ = cfg.tx.send((self.w.key, self.ckpt_base + progress, state, cursors));
         }
     }
 }

@@ -18,11 +18,9 @@
 //! experiment harness uses [`crate::DesEngine`] for speed and
 //! repeatability.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Sender};
+use crossbeam::channel::Sender;
 
 use gates_core::report::RunReport;
 use gates_core::trace::{RunMeta, TraceEvent};
@@ -34,7 +32,7 @@ use gates_sim::SimTime;
 
 use crate::executor::CorePool;
 use crate::options::RunOptions;
-use crate::runtime::{Control, OutPort, StageTask, StageWorker};
+use crate::runtime::{Control, Inbox, OutPort, RunCtx, StageWorker, Upstream};
 use crate::stage_core::{ShardScaling, StageCore};
 use crate::EngineError;
 
@@ -72,17 +70,6 @@ impl ThreadedEngine {
     /// Execute the pipeline on real threads, blocking until done.
     pub fn run(self) -> Result<RunReport, EngineError> {
         let n = self.topology.stages().len();
-        let start = Instant::now();
-        // One observed-time source shared by every stage of the run, so
-        // their trace timestamps have a common zero.
-        let clock = self.opts.run_clock();
-        // Engine-wide stop flag, set when the budget runs out alongside
-        // the `Control::Stop` messages. Workers poll it from inside
-        // blocking sends and service sleeps, where a control message
-        // alone could arrive too late (or never, if the worker is wedged
-        // in a send into a full queue).
-        let stop = Arc::new(AtomicBool::new(false));
-
         if self.opts.recorder.enabled() {
             let placements = self
                 .topology
@@ -96,94 +83,41 @@ impl ThreadedEngine {
                 .record(TraceEvent::Meta(RunMeta { engine: "threaded".into(), placements }));
         }
 
-        // Input data channels (one per stage) and control channels.
-        let mut data_tx = Vec::with_capacity(n);
-        let mut data_rx = Vec::with_capacity(n);
-        let mut ctl_tx = Vec::with_capacity(n);
-        let mut ctl_rx = Vec::with_capacity(n);
-        let mut drops: Vec<Arc<AtomicU64>> = Vec::with_capacity(n);
-        for stage in self.topology.stages() {
-            let (tx, rx) = bounded(stage.queue_capacity);
-            data_tx.push(tx);
-            data_rx.push(rx);
-            let (ctx, crx) = unbounded::<Control>();
-            ctl_tx.push(ctx);
-            ctl_rx.push(crx);
-            drops.push(Arc::new(AtomicU64::new(0)));
-        }
-
         let pool = CorePool::new(self.opts.effective_cores());
-        let hub = pool.hub();
-
-        let mut task_handles = Vec::new();
+        let run = RunCtx::new(self.opts.clone(), pool.hub());
+        let (topology, edges) = (&self.topology, self.topology.edges());
+        let mut inboxes: Vec<Inbox> = (0..n).map(|i| Inbox::new(topology, i)).collect();
+        let mut task_handles = Vec::with_capacity(n);
         for idx in 0..n {
             let id = StageId::from_index(idx);
-            let out: Vec<OutPort> = self
-                .topology
+            let out = topology
                 .out_edges(id)
                 .into_iter()
-                .map(|ei| {
-                    let edge = &self.topology.edges()[ei];
-                    let to = edge.to.index();
-                    OutPort {
-                        tx: data_tx[to].clone(),
-                        bucket: OutPort::bucket_for(edge.link.bandwidth.as_bytes_per_sec()),
-                        blocking: edge.link.flow == gates_net::FlowControl::Blocking,
-                        drops: Arc::clone(&drops[to]),
-                        wake_key: Some(to as u32),
-                        remote_wake: None,
-                    }
-                })
+                .map(|ei| OutPort::local(&edges[ei].link, &inboxes[edges[ei].to.index()]))
                 .collect();
-            let upstream_ctl: Vec<Sender<Control>> = self
-                .topology
+            let upstream = topology
                 .in_edges(id)
                 .into_iter()
-                .map(|ei| ctl_tx[self.topology.edges()[ei].from.index()].clone())
+                .map(|ei| Upstream::local(&inboxes[edges[ei].from.index()]))
                 .collect();
-            let upstream_keys: Vec<u32> = self
-                .topology
-                .in_edges(id)
-                .into_iter()
-                .map(|ei| self.topology.edges()[ei].from.index() as u32)
-                .collect();
-            let worker = StageWorker {
-                // A replica's overload/underload signal mutates the shared
-                // router directly: every in-process sender sees the new
-                // map on its next route lookup.
-                core: StageCore::new(
-                    &self.topology,
-                    id,
-                    self.nodes[idx].clone(),
-                    self.speeds[idx],
-                    ShardScaling::Local,
-                    &self.opts,
-                ),
-                rx: data_rx[idx].clone(),
-                ctl: ctl_rx[idx].clone(),
-                out,
-                upstream_ctl,
-                in_edges: self.topology.in_edges(id).len(),
-                my_drops: Arc::clone(&drops[idx]),
-                opts: self.opts.clone(),
-                start,
-                clock: Arc::clone(&clock),
-                stop: Arc::clone(&stop),
-                checkpoint: None,
-                restore: None,
-                hub: Arc::clone(&hub),
-                upstream_keys,
-            };
-            task_handles.push(pool.spawn(Box::new(StageTask::new(worker)), idx as u32));
+            // A replica's overload/underload signal mutates the shared
+            // router directly: every in-process sender sees the new map
+            // on its next route lookup.
+            let core = StageCore::new(
+                topology,
+                id,
+                self.nodes[idx].clone(),
+                self.speeds[idx],
+                ShardScaling::Local,
+                &self.opts,
+            );
+            let worker =
+                StageWorker::new(run.clone(), core, &mut inboxes[idx], out, upstream, None, None);
+            task_handles.push(worker.spawn(&pool));
         }
-        // Drop our clones so channels disconnect naturally when their
-        // workers finish. Keeping a receiver clone here would be a
-        // deadlock: a worker blocked on a (blocking or EOS) send into a
-        // dead stage's full channel would never observe the disconnect,
-        // and run() would wait on its join handle forever.
-        drop(data_tx);
-        drop(data_rx);
-        drop(ctl_rx);
+        // Keep only the control channels: queues then disconnect
+        // naturally when their producers finish.
+        let ctl_tx: Vec<Sender<Control>> = inboxes.into_iter().map(|inbox| inbox.ctl).collect();
 
         // Wait out the budget here: a stage still running when it
         // elapses gets the stop flag and one `Control::Stop`, and the
@@ -194,11 +128,7 @@ impl ThreadedEngine {
         let mut results = Vec::with_capacity(n);
         for handle in task_handles {
             let result = handle.join_by(deadline).unwrap_or_else(|| {
-                if !stop.swap(true, Ordering::Relaxed) {
-                    for c in &ctl_tx {
-                        let _ = c.send(Control::Stop);
-                    }
-                }
+                run.stop_stages(&ctl_tx);
                 handle.join()
             });
             results.push(result);
@@ -211,7 +141,7 @@ impl ThreadedEngine {
             stages.push(result.map_err(EngineError::WorkerPanic)?);
         }
 
-        let finished_at = SimTime::from_secs_f64(clock.now_secs());
+        let finished_at = SimTime::from_secs_f64(run.clock.now_secs());
         Ok(RunReport {
             finished_at,
             stages,
@@ -238,6 +168,7 @@ mod tests {
     use gates_grid::{Deployer, ResourceRegistry};
     use gates_net::{Bandwidth, LinkSpec};
     use gates_sim::{SimDuration, SimTime};
+    use std::sync::Arc;
 
     struct Burst {
         left: u32,
