@@ -190,6 +190,39 @@ impl StreamProcessor for ZipfSource {
     }
 }
 
+/// Encode a summary packet (see the module docs for the format).
+pub(crate) fn write_summary(
+    stream_id: u32,
+    seq: u64,
+    tau: f64,
+    entries: impl ExactSizeIterator<Item = (u64, f64)>,
+) -> Packet {
+    let n = entries.len();
+    let mut w = PayloadWriter::with_capacity(12 + n * 16);
+    w.put_u32(n as u32);
+    w.put_f64(tau);
+    for (v, est) in entries {
+        w.put_u64(v);
+        w.put_f64(est);
+    }
+    Packet::summary(stream_id, seq, n as u32, w.finish())
+}
+
+/// Decode a summary payload into `(τ, entries)`. A truncated payload
+/// yields the entries read so far, and the declared count sizes no
+/// allocation beyond the 16-byte entries the bytes left can hold.
+pub(crate) fn read_summary(payload: bytes::Bytes) -> (f64, Vec<(u64, f64)>) {
+    let mut r = PayloadReader::new(payload);
+    let n = r.get_u32().unwrap_or(0) as usize;
+    let tau = r.get_f64().unwrap_or(1.0);
+    let mut entries = Vec::with_capacity(n.min(r.remaining() / 16));
+    for _ in 0..n {
+        let (Ok(v), Ok(est)) = (r.get_u64(), r.get_f64()) else { break };
+        entries.push((v, est));
+    }
+    (tau, entries)
+}
+
 /// Source-side summarizer: maintains a counting sample of footprint `k`
 /// (the adjustment parameter) and periodically emits its top-k entries.
 struct Summarizer {
@@ -215,16 +248,8 @@ impl Summarizer {
 
     fn flush(&mut self, api: &mut StageApi) {
         let k = self.current_k(api);
-        let top = self.sample.top_k(k);
-        let mut w = PayloadWriter::with_capacity(12 + top.len() * 16);
-        w.put_u32(top.len() as u32);
-        w.put_f64(self.sample.tau());
-        for entry in &top {
-            w.put_u64(entry.value);
-            w.put_f64(entry.estimate);
-        }
-        let n = top.len() as u32;
-        api.emit(Packet::summary(self.stream_id, self.seq, n, w.finish()));
+        let top = self.sample.top_k(k).into_iter().map(|e| (e.value, e.estimate));
+        api.emit(write_summary(self.stream_id, self.seq, self.sample.tau(), top));
         self.seq += 1;
         self.records_since_flush = 0;
     }
@@ -307,14 +332,7 @@ impl StreamProcessor for Collector {
                 self.sample.insert(v, &mut self.rng);
             }
         } else {
-            let mut r = PayloadReader::new(packet.payload);
-            let n = r.get_u32().unwrap_or(0) as usize;
-            let _tau = r.get_f64().unwrap_or(1.0);
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let (Ok(v), Ok(est)) = (r.get_u64(), r.get_f64()) else { break };
-                entries.push((v, est));
-            }
+            let (_tau, entries) = read_summary(packet.payload);
             // Merging is charged per entry (the static cost model charges
             // per record, which equals the entry count for summaries —
             // the extra here covers the lookup overhead knob).
@@ -557,6 +575,18 @@ mod tests {
             zipf_n: 500,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn summary_count_cannot_outgrow_its_payload() {
+        // Claims u32::MAX entries; carries one.
+        let mut w = PayloadWriter::new();
+        w.put_u32(u32::MAX).put_f64(2.0).put_u64(7).put_f64(3.5);
+        let payload = w.finish();
+        let len = payload.len();
+        let (tau, entries) = read_summary(payload);
+        assert_eq!((tau, entries.as_slice()), (2.0, &[(7, 3.5)][..]));
+        assert!(entries.capacity() <= len / 16, "capacity {} of {len} bytes", entries.capacity());
     }
 
     #[test]

@@ -43,6 +43,8 @@ use gates_sim::SimDuration;
 use gates_streams::metrics::{top_k_accuracy, AccuracyReport};
 use gates_streams::{CountingSamples, ZipfGenerator};
 
+use crate::count_samps::{read_summary, write_summary};
+
 /// Parameters of a hierarchical count-samps run.
 #[derive(Debug, Clone)]
 pub struct HierarchicalParams {
@@ -158,29 +160,6 @@ impl StreamProcessor for ZipfSource {
     }
 }
 
-fn write_summary(stream_id: u32, seq: u64, tau: f64, entries: &[(u64, f64)]) -> Packet {
-    let mut w = PayloadWriter::with_capacity(12 + entries.len() * 16);
-    w.put_u32(entries.len() as u32);
-    w.put_f64(tau);
-    for &(v, est) in entries {
-        w.put_u64(v);
-        w.put_f64(est);
-    }
-    Packet::summary(stream_id, seq, entries.len() as u32, w.finish())
-}
-
-fn read_summary(payload: bytes::Bytes) -> (f64, Vec<(u64, f64)>) {
-    let mut r = PayloadReader::new(payload);
-    let n = r.get_u32().unwrap_or(0) as usize;
-    let tau = r.get_f64().unwrap_or(1.0);
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (Ok(v), Ok(est)) = (r.get_u64(), r.get_f64()) else { break };
-        entries.push((v, est));
-    }
-    (tau, entries)
-}
-
 /// Tier-2 site summarizer (counting sample of footprint k2).
 struct SiteSummarizer {
     stream_id: u32,
@@ -205,9 +184,8 @@ impl SiteSummarizer {
 
     fn flush(&mut self, api: &mut StageApi) {
         let k = self.current_k(api);
-        let entries: Vec<(u64, f64)> =
-            self.sample.top_k(k).into_iter().map(|e| (e.value, e.estimate)).collect();
-        api.emit(write_summary(self.stream_id, self.seq, self.sample.tau(), &entries));
+        let top = self.sample.top_k(k).into_iter().map(|e| (e.value, e.estimate));
+        api.emit(write_summary(self.stream_id, self.seq, self.sample.tau(), top));
         self.seq += 1;
         self.records_since_flush = 0;
     }
@@ -284,7 +262,7 @@ impl RegionalMerger {
         let k = self.current_k(api);
         let (tau, mut entries) = self.merged();
         entries.truncate(k);
-        api.emit(write_summary(self.region_id, self.seq, tau, &entries));
+        api.emit(write_summary(self.region_id, self.seq, tau, entries.into_iter()));
         self.seq += 1;
         self.entries_since_flush = 0;
     }

@@ -390,6 +390,31 @@ struct SiteReport {
     scans: Vec<(u64, HyperLogLog)>,
 }
 
+/// Decode a site report. A truncated payload keeps what was read, and
+/// the declared counts size no allocation beyond what the bytes left can
+/// hold: 16 bytes per volume entry, 12 per scan header.
+fn read_site_report(payload: bytes::Bytes) -> SiteReport {
+    let mut r = PayloadReader::new(payload);
+    let n_vol = r.get_u32().unwrap_or(0) as usize;
+    let n_scan = r.get_u32().unwrap_or(0) as usize;
+    let events = r.get_u64().unwrap_or(0);
+    let mut volume = Vec::with_capacity(n_vol.min(r.remaining() / 16));
+    for _ in 0..n_vol {
+        let (Ok(src), Ok(count)) = (r.get_u64(), r.get_u64()) else { break };
+        volume.push((src, count));
+    }
+    let mut scans = Vec::with_capacity(n_scan.min(r.remaining() / 12));
+    for _ in 0..n_scan {
+        let Ok(src) = r.get_u64() else { break };
+        let Ok(reg_len) = r.get_u32() else { break };
+        let Ok(regs) = r.get_bytes(reg_len as usize) else { break };
+        if let Ok(hll) = HyperLogLog::from_registers(regs.to_vec()) {
+            scans.push((src, hll));
+        }
+    }
+    SiteReport { events, volume, scans }
+}
+
 impl Correlator {
     fn evaluate(&self) {
         let mut counts: HashMap<u64, u64> = HashMap::new();
@@ -433,25 +458,7 @@ impl Correlator {
 
 impl StreamProcessor for Correlator {
     fn process(&mut self, packet: Packet, _api: &mut StageApi) {
-        let mut r = PayloadReader::new(packet.payload);
-        let n_vol = r.get_u32().unwrap_or(0) as usize;
-        let n_scan = r.get_u32().unwrap_or(0) as usize;
-        let events = r.get_u64().unwrap_or(0);
-        let mut volume = Vec::with_capacity(n_vol);
-        for _ in 0..n_vol {
-            let (Ok(src), Ok(count)) = (r.get_u64(), r.get_u64()) else { break };
-            volume.push((src, count));
-        }
-        let mut scans = Vec::with_capacity(n_scan);
-        for _ in 0..n_scan {
-            let Ok(src) = r.get_u64() else { break };
-            let Ok(reg_len) = r.get_u32() else { break };
-            let Ok(regs) = r.get_bytes(reg_len as usize) else { break };
-            if let Ok(hll) = HyperLogLog::from_registers(regs.to_vec()) {
-                scans.push((src, hll));
-            }
-        }
-        self.latest.insert(packet.stream_id, SiteReport { events, volume, scans });
+        self.latest.insert(packet.stream_id, read_site_report(packet.payload));
         self.evaluate();
     }
 
@@ -625,6 +632,24 @@ mod tests {
             scan_threshold: 120.0,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn report_counts_cannot_outgrow_their_payload() {
+        // Claims u32::MAX volume entries and scans; carries one entry.
+        let mut w = PayloadWriter::new();
+        w.put_u32(u32::MAX).put_u32(u32::MAX).put_u64(9).put_u64(1).put_u64(5);
+        let payload = w.finish();
+        let len = payload.len();
+        let report = read_site_report(payload);
+        assert_eq!((report.events, report.volume.as_slice()), (9, &[(1, 5)][..]));
+        assert!(report.scans.is_empty());
+        assert!(
+            report.volume.capacity() <= len / 16,
+            "volume capacity {}",
+            report.volume.capacity()
+        );
+        assert!(report.scans.capacity() <= len / 12, "scans capacity {}", report.scans.capacity());
     }
 
     #[test]

@@ -7,20 +7,23 @@
 //! `Exception` frame whose payload is the one-byte load-exception kind.
 //! Encodings use the fixed-width big-endian [`PayloadWriter`] /
 //! [`PayloadReader`] primitives shared with application payloads.
-
-use bytes::Bytes;
+//!
+//! Each message is declared once: `Wire` is implemented once per leaf
+//! type, and `wire_struct!` / `wire_enum!` list each struct's fields and
+//! each enum's tags in wire order, emitting both directions. Tags are
+//! append-only. Every decoded count is checked against the bytes left
+//! before allocating, so any payload decodes to a value or an `Err`.
 
 use gates_core::adapt::LoadException;
 use gates_core::report::{ParamTrajectory, StageReport};
 use gates_core::trace::{AdaptRound, LinkEvent, LinkEventKind, RunMeta, StageSample, TraceEvent};
 use gates_core::{CoreError, PayloadReader, PayloadWriter};
-use gates_net::{Frame, FrameKind};
+use gates_net::{FaultPlan, Frame, FrameKind, RetryPolicy};
 use gates_sim::stats::Welford;
 use gates_sim::SimDuration;
 
 use super::DistConfig;
 use crate::runtime::EdgeCursors;
-use gates_net::RetryPolicy;
 use std::time::Duration;
 
 /// A stage checkpoint as the coordinator stores it, keyed by stage
@@ -33,21 +36,6 @@ pub(crate) type CheckpointEntry = (u64, u32, Vec<u8>, EdgeCursors);
 /// `(stage, seq, crc, state, cursors)` — a [`CheckpointEntry`] prefixed
 /// with the global stage index it belongs to.
 pub(crate) type StageCheckpoint = (u32, u64, u32, Vec<u8>, EdgeCursors);
-
-const TAG_HELLO: u8 = 1;
-const TAG_ASSIGN: u8 = 2;
-const TAG_READY: u8 = 3;
-const TAG_START: u8 = 4;
-const TAG_REPORT: u8 = 5;
-const TAG_TRACE: u8 = 6;
-const TAG_EDGE_HELLO: u8 = 7;
-const TAG_STOP: u8 = 8;
-const TAG_HEARTBEAT: u8 = 9;
-const TAG_CHECKPOINT: u8 = 10;
-const TAG_REJECT: u8 = 11;
-const TAG_REASSIGN: u8 = 12;
-const TAG_SHARD_REQUEST: u8 = 13;
-const TAG_SHARD_UPDATE: u8 = 14;
 
 /// One row of the coordinator's placement table, shipped to every worker
 /// so senders can resolve remote endpoints without further round-trips.
@@ -235,463 +223,343 @@ pub(crate) enum CtrlMsg {
     },
 }
 
-fn put_str(w: &mut PayloadWriter, s: &str) {
-    w.put_u32(s.len() as u32);
-    w.put_bytes(s.as_bytes());
-}
+/// A value with one wire encoding: `get` reads back what `put` wrote.
+trait Wire: Sized {
+    /// The fewest bytes any value of the type encodes to (at least 1). A
+    /// decoded count of values is checked against it before allocating.
+    const MIN: usize;
 
-fn get_str(r: &mut PayloadReader) -> Result<String, CoreError> {
-    let len = r.get_u32()? as usize;
-    let bytes = r.get_bytes(len)?;
-    // `into_vec` reclaims the allocation when this view is the last
-    // owner (the common case for a frame decoded into a fresh payload),
-    // so the bytes move into the String instead of being copied twice.
-    String::from_utf8(bytes.into_vec())
-        .map_err(|e| CoreError::PayloadDecode(format!("invalid utf-8 string: {e}")))
-}
+    /// Append the encoding.
+    fn put(&self, w: &mut PayloadWriter);
 
-fn put_opt_str(w: &mut PayloadWriter, s: &Option<String>) {
-    match s {
-        Some(s) => {
-            w.put_bytes(&[1]);
-            put_str(w, s);
-        }
-        None => {
-            w.put_bytes(&[0]);
+    /// Read one value; `Err` on truncation or a malformed field.
+    fn get(r: &mut PayloadReader) -> Result<Self, CoreError>;
+
+    /// Append a run of values; bytes override it with one bulk copy.
+    fn put_run(run: &[Self], w: &mut PayloadWriter) {
+        for v in run {
+            v.put(w);
         }
     }
-}
 
-fn get_opt_str(r: &mut PayloadReader) -> Result<Option<String>, CoreError> {
-    Ok(if r.get_u8()? == 1 { Some(get_str(r)?) } else { None })
-}
-
-fn put_cursors(w: &mut PayloadWriter, cursors: &[(u32, u64)]) {
-    w.put_u32(cursors.len() as u32);
-    for &(edge, cursor) in cursors {
-        w.put_u32(edge);
-        w.put_u64(cursor);
-    }
-}
-
-fn get_cursors(r: &mut PayloadReader) -> Result<Vec<(u32, u64)>, CoreError> {
-    let n = r.get_u32()? as usize;
-    let mut cursors = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        cursors.push((r.get_u32()?, r.get_u64()?));
-    }
-    Ok(cursors)
-}
-
-fn put_welford(w: &mut PayloadWriter, s: &Welford) {
-    w.put_u64(s.count());
-    w.put_f64(s.mean());
-    w.put_f64(s.m2());
-    w.put_f64(s.min());
-    w.put_f64(s.max());
-}
-
-fn get_welford(r: &mut PayloadReader) -> Result<Welford, CoreError> {
-    let count = r.get_u64()?;
-    let mean = r.get_f64()?;
-    let m2 = r.get_f64()?;
-    let min = r.get_f64()?;
-    let max = r.get_f64()?;
-    Ok(Welford::from_parts(count, mean, m2, min, max))
-}
-
-fn put_stage_report(w: &mut PayloadWriter, s: &StageReport) {
-    put_str(w, &s.name);
-    put_str(w, &s.placed_on);
-    w.put_u64(s.packets_in);
-    w.put_u64(s.packets_out);
-    w.put_u64(s.records_in);
-    w.put_u64(s.records_out);
-    w.put_u64(s.bytes_in);
-    w.put_u64(s.bytes_out);
-    w.put_u64(s.packets_dropped);
-    put_welford(w, &s.queue);
-    put_welford(w, &s.latency);
-    w.put_u64(s.busy_time.as_micros());
-    w.put_u64(s.exceptions_sent.0);
-    w.put_u64(s.exceptions_sent.1);
-    w.put_u64(s.exceptions_received.0);
-    w.put_u64(s.exceptions_received.1);
-    w.put_u32(s.params.len() as u32);
-    for p in &s.params {
-        put_str(w, &p.name);
-        w.put_u32(p.samples.len() as u32);
-        for &(t, v) in &p.samples {
-            w.put_f64(t);
-            w.put_f64(v);
+    /// Read `n` values, `n` already checked against the bytes left.
+    fn get_run(n: usize, r: &mut PayloadReader) -> Result<Vec<Self>, CoreError> {
+        let mut run = Vec::with_capacity(n);
+        for _ in 0..n {
+            run.push(Self::get(r)?);
         }
+        Ok(run)
     }
 }
 
-fn get_stage_report(r: &mut PayloadReader) -> Result<StageReport, CoreError> {
-    let name = get_str(r)?;
-    let placed_on = get_str(r)?;
-    let packets_in = r.get_u64()?;
-    let packets_out = r.get_u64()?;
-    let records_in = r.get_u64()?;
-    let records_out = r.get_u64()?;
-    let bytes_in = r.get_u64()?;
-    let bytes_out = r.get_u64()?;
-    let packets_dropped = r.get_u64()?;
-    let queue = get_welford(r)?;
-    let latency = get_welford(r)?;
-    let busy_time = SimDuration::from_micros(r.get_u64()?);
-    let exceptions_sent = (r.get_u64()?, r.get_u64()?);
-    let exceptions_received = (r.get_u64()?, r.get_u64()?);
-    let n_params = r.get_u32()? as usize;
-    let mut params = Vec::with_capacity(n_params.min(1024));
-    for _ in 0..n_params {
-        let pname = get_str(r)?;
-        let n_samples = r.get_u32()? as usize;
-        let mut samples = Vec::with_capacity(n_samples.min(65_536));
-        for _ in 0..n_samples {
-            let t = r.get_f64()?;
-            let v = r.get_f64()?;
-            samples.push((t, v));
-        }
-        params.push(ParamTrajectory { name: pname, samples });
-    }
-    Ok(StageReport {
-        name,
-        placed_on,
-        packets_in,
-        packets_out,
-        records_in,
-        records_out,
-        bytes_in,
-        bytes_out,
-        packets_dropped,
-        queue,
-        latency,
-        busy_time,
-        exceptions_sent,
-        exceptions_received,
-        params,
-    })
+/// `T::MIN` for the field `_field` reads, so `wire_struct!` needs no field types.
+const fn min_of<S, T: Wire>(_field: fn(&S) -> &T) -> usize {
+    T::MIN
 }
 
-fn put_trace_event(w: &mut PayloadWriter, e: &TraceEvent) {
-    match e {
-        TraceEvent::Meta(m) => {
-            w.put_bytes(&[0]);
-            put_str(w, &m.engine);
-            w.put_u32(m.placements.len() as u32);
-            for (stage, node) in &m.placements {
-                put_str(w, stage);
-                put_str(w, node);
+fn bad_tag(ty: &str, tag: u8) -> CoreError {
+    CoreError::PayloadDecode(format!("unknown {ty} tag {tag}"))
+}
+
+impl Wire for u8 {
+    const MIN: usize = 1;
+    fn put(&self, w: &mut PayloadWriter) {
+        w.put_bytes(&[*self]);
+    }
+    fn get(r: &mut PayloadReader) -> Result<Self, CoreError> {
+        r.get_u8()
+    }
+    fn put_run(run: &[u8], w: &mut PayloadWriter) {
+        w.put_bytes(run);
+    }
+    fn get_run(n: usize, r: &mut PayloadReader) -> Result<Vec<u8>, CoreError> {
+        Ok(r.get_bytes(n)?.into_vec())
+    }
+}
+
+/// Fixed-width big-endian numbers.
+macro_rules! wire_number {
+    ($($ty:ident: $put:ident, $get:ident;)+) => {$(
+        impl Wire for $ty {
+            const MIN: usize = std::mem::size_of::<$ty>();
+            fn put(&self, w: &mut PayloadWriter) {
+                w.$put(*self);
+            }
+            fn get(r: &mut PayloadReader) -> Result<Self, CoreError> {
+                r.$get()
             }
         }
-        TraceEvent::Sample(s) => {
-            w.put_bytes(&[1]);
-            w.put_f64(s.t);
-            put_str(w, &s.stage);
-            w.put_u64(s.queue_depth as u64);
-            w.put_u64(s.packets_in);
-            w.put_u64(s.packets_out);
-            w.put_u64(s.dropped);
-            w.put_f64(s.throughput);
-            w.put_f64(s.service_time);
-            w.put_f64(s.bucket_wait);
-        }
-        TraceEvent::Adapt(a) => {
-            w.put_bytes(&[2]);
-            w.put_f64(a.t);
-            put_str(w, &a.stage);
-            put_str(w, &a.param);
-            put_str(w, &a.policy);
-            for v in [a.d_tilde, a.phi1, a.phi2, a.phi3, a.sigma1, a.sigma2, a.suggested] {
-                w.put_f64(v);
-            }
-            for v in [a.overload_sent, a.underload_sent, a.overload_received, a.underload_received]
-            {
-                w.put_u64(v);
-            }
-        }
-        TraceEvent::Link(l) => {
-            w.put_bytes(&[3]);
-            w.put_f64(l.t);
-            put_str(w, &l.link);
-            put_str(w, &l.node);
-            w.put_bytes(&[link_kind_to_u8(l.kind)]);
-            put_str(w, &l.detail);
+    )+};
+}
+
+wire_number! {
+    u32: put_u32, get_u32;
+    u64: put_u64, get_u64;
+    f64: put_f64, get_f64;
+}
+
+impl Wire for bool {
+    const MIN: usize = 1;
+    fn put(&self, w: &mut PayloadWriter) {
+        u8::from(*self).put(w);
+    }
+    fn get(r: &mut PayloadReader) -> Result<Self, CoreError> {
+        match r.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(bad_tag("bool", tag)),
         }
     }
 }
 
-fn link_kind_to_u8(k: LinkEventKind) -> u8 {
-    match k {
-        LinkEventKind::Connected => 0,
-        LinkEventKind::Reconnecting => 1,
-        LinkEventKind::Reconnected => 2,
-        LinkEventKind::Dead => 3,
-        LinkEventKind::CrcDrop => 4,
-        LinkEventKind::PeerEof => 5,
-        LinkEventKind::Drained => 6,
-        LinkEventKind::WorkerLost => 7,
-        LinkEventKind::Reassigned => 8,
-        LinkEventKind::Restored => 9,
-        LinkEventKind::Resumed => 10,
-        LinkEventKind::Rejected => 11,
-        LinkEventKind::FaultInjected => 12,
-        LinkEventKind::StaleDiscarded => 13,
-        LinkEventKind::CheckpointCorrupt => 14,
-        LinkEventKind::ReconnectExhausted => 15,
-        LinkEventKind::ShardSplit => 16,
-        LinkEventKind::ShardMerge => 17,
-        LinkEventKind::Misrouted => 18,
-        LinkEventKind::Acked => 19,
-        LinkEventKind::Replayed => 20,
-        LinkEventKind::Deduped => 21,
-        LinkEventKind::Stalled => 22,
-        LinkEventKind::Skipped => 23,
+/// A presence flag, then the value if present.
+impl<T: Wire> Wire for Option<T> {
+    const MIN: usize = 1;
+    fn put(&self, w: &mut PayloadWriter) {
+        self.is_some().put(w);
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut PayloadReader) -> Result<Self, CoreError> {
+        Ok(if bool::get(r)? { Some(T::get(r)?) } else { None })
     }
 }
 
-fn link_kind_from_u8(v: u8) -> Result<LinkEventKind, CoreError> {
-    Ok(match v {
-        0 => LinkEventKind::Connected,
-        1 => LinkEventKind::Reconnecting,
-        2 => LinkEventKind::Reconnected,
-        3 => LinkEventKind::Dead,
-        4 => LinkEventKind::CrcDrop,
-        5 => LinkEventKind::PeerEof,
-        6 => LinkEventKind::Drained,
-        7 => LinkEventKind::WorkerLost,
-        8 => LinkEventKind::Reassigned,
-        9 => LinkEventKind::Restored,
-        10 => LinkEventKind::Resumed,
-        11 => LinkEventKind::Rejected,
-        12 => LinkEventKind::FaultInjected,
-        13 => LinkEventKind::StaleDiscarded,
-        14 => LinkEventKind::CheckpointCorrupt,
-        15 => LinkEventKind::ReconnectExhausted,
-        16 => LinkEventKind::ShardSplit,
-        17 => LinkEventKind::ShardMerge,
-        18 => LinkEventKind::Misrouted,
-        19 => LinkEventKind::Acked,
-        20 => LinkEventKind::Replayed,
-        21 => LinkEventKind::Deduped,
-        22 => LinkEventKind::Stalled,
-        23 => LinkEventKind::Skipped,
-        other => return Err(CoreError::PayloadDecode(format!("bad link event kind {other}"))),
-    })
+/// As a `u64`.
+impl Wire for usize {
+    const MIN: usize = 8;
+    fn put(&self, w: &mut PayloadWriter) {
+        (*self as u64).put(w);
+    }
+    fn get(r: &mut PayloadReader) -> Result<Self, CoreError> {
+        usize::try_from(u64::get(r)?).map_err(|e| CoreError::PayloadDecode(e.to_string()))
+    }
 }
 
-fn get_trace_event(r: &mut PayloadReader) -> Result<TraceEvent, CoreError> {
-    Ok(match r.get_u8()? {
-        0 => {
-            let engine = get_str(r)?;
-            let n = r.get_u32()? as usize;
-            let mut placements = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                placements.push((get_str(r)?, get_str(r)?));
-            }
-            TraceEvent::Meta(RunMeta { engine, placements })
+/// As whole microseconds.
+impl Wire for Duration {
+    const MIN: usize = 8;
+    fn put(&self, w: &mut PayloadWriter) {
+        (self.as_micros() as u64).put(w);
+    }
+    fn get(r: &mut PayloadReader) -> Result<Self, CoreError> {
+        Ok(Duration::from_micros(u64::get(r)?))
+    }
+}
+
+/// As microseconds.
+impl Wire for SimDuration {
+    const MIN: usize = 8;
+    fn put(&self, w: &mut PayloadWriter) {
+        self.as_micros().put(w);
+    }
+    fn get(r: &mut PayloadReader) -> Result<Self, CoreError> {
+        Ok(SimDuration::from_micros(u64::get(r)?))
+    }
+}
+
+/// A `u32` count, then the items.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN: usize = 4;
+    fn put(&self, w: &mut PayloadWriter) {
+        put_counted(self, w);
+    }
+    fn get(r: &mut PayloadReader) -> Result<Self, CoreError> {
+        let n = u32::get(r)? as usize;
+        if n.saturating_mul(T::MIN) > r.remaining() {
+            return Err(CoreError::PayloadDecode(format!("{n} items overrun the payload")));
         }
-        1 => TraceEvent::Sample(StageSample {
-            t: r.get_f64()?,
-            stage: get_str(r)?,
-            queue_depth: r.get_u64()? as usize,
-            packets_in: r.get_u64()?,
-            packets_out: r.get_u64()?,
-            dropped: r.get_u64()?,
-            throughput: r.get_f64()?,
-            service_time: r.get_f64()?,
-            bucket_wait: r.get_f64()?,
-        }),
-        2 => TraceEvent::Adapt(AdaptRound {
-            t: r.get_f64()?,
-            stage: get_str(r)?,
-            param: get_str(r)?,
-            policy: get_str(r)?,
-            d_tilde: r.get_f64()?,
-            phi1: r.get_f64()?,
-            phi2: r.get_f64()?,
-            phi3: r.get_f64()?,
-            sigma1: r.get_f64()?,
-            sigma2: r.get_f64()?,
-            suggested: r.get_f64()?,
-            overload_sent: r.get_u64()?,
-            underload_sent: r.get_u64()?,
-            overload_received: r.get_u64()?,
-            underload_received: r.get_u64()?,
-        }),
-        3 => TraceEvent::Link(LinkEvent {
-            t: r.get_f64()?,
-            link: get_str(r)?,
-            node: get_str(r)?,
-            kind: link_kind_from_u8(r.get_u8()?)?,
-            detail: get_str(r)?,
-        }),
-        other => return Err(CoreError::PayloadDecode(format!("bad trace event tag {other}"))),
-    })
+        T::get_run(n, r)
+    }
 }
 
-fn put_config(w: &mut PayloadWriter, c: &DistConfig) {
-    w.put_u64(c.connect_timeout.as_micros() as u64);
-    w.put_u32(c.retry.max_attempts);
-    w.put_u64(c.retry.base_delay.as_micros() as u64);
-    w.put_u64(c.retry.max_delay.as_micros() as u64);
-    w.put_u64(c.drain_window.as_micros() as u64);
-    w.put_u64(c.report_grace.as_micros() as u64);
-    w.put_u64(c.heartbeat_interval.as_micros() as u64);
-    w.put_u64(c.heartbeat_timeout.as_micros() as u64);
-    w.put_u64(c.checkpoint_every);
-    w.put_u64(c.max_redial.as_micros() as u64);
-    // The fault plan ships as its canonical spec string: compact, and
-    // the parser is the single source of truth for its grammar.
-    put_opt_str(w, &c.fault.as_ref().map(|f| f.to_spec()));
-    w.put_u64(c.ack_window as u64);
-    w.put_u64(c.replay_retain as u64);
+fn put_counted<T: Wire>(run: &[T], w: &mut PayloadWriter) {
+    (run.len() as u32).put(w);
+    T::put_run(run, w);
 }
 
-fn get_config(r: &mut PayloadReader) -> Result<DistConfig, CoreError> {
-    Ok(DistConfig {
-        connect_timeout: Duration::from_micros(r.get_u64()?),
-        retry: RetryPolicy {
-            max_attempts: r.get_u32()?,
-            base_delay: Duration::from_micros(r.get_u64()?),
-            max_delay: Duration::from_micros(r.get_u64()?),
-        },
-        drain_window: Duration::from_micros(r.get_u64()?),
-        report_grace: Duration::from_micros(r.get_u64()?),
-        heartbeat_interval: Duration::from_micros(r.get_u64()?),
-        heartbeat_timeout: Duration::from_micros(r.get_u64()?),
-        checkpoint_every: r.get_u64()?,
-        max_redial: Duration::from_micros(r.get_u64()?),
-        fault: match get_opt_str(r)? {
-            Some(spec) => Some(
-                gates_net::FaultPlan::parse(&spec)
-                    .map_err(|e| CoreError::PayloadDecode(format!("bad fault spec: {e}")))?,
-            ),
-            None => None,
-        },
-        ack_window: r.get_u64()? as usize,
-        replay_retain: r.get_u64()? as usize,
-    })
+/// As its UTF-8 bytes.
+impl Wire for String {
+    const MIN: usize = 4;
+    fn put(&self, w: &mut PayloadWriter) {
+        put_counted(self.as_bytes(), w);
+    }
+    fn get(r: &mut PayloadReader) -> Result<Self, CoreError> {
+        String::from_utf8(Wire::get(r)?)
+            .map_err(|e| CoreError::PayloadDecode(format!("invalid utf-8 string: {e}")))
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    const MIN: usize = T::MIN;
+    fn put(&self, w: &mut PayloadWriter) {
+        (**self).put(w);
+    }
+    fn get(r: &mut PayloadReader) -> Result<Self, CoreError> {
+        Ok(Box::new(T::get(r)?))
+    }
+}
+
+/// The fields in order.
+macro_rules! wire_tuple {
+    ($(($($t:ident $i:tt),+))+) => {$(
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            const MIN: usize = 0 $(+ $t::MIN)+;
+            fn put(&self, w: &mut PayloadWriter) {
+                $(self.$i.put(w);)+
+            }
+            fn get(r: &mut PayloadReader) -> Result<Self, CoreError> {
+                Ok(($($t::get(r)?,)+))
+            }
+        }
+    )+};
+}
+
+wire_tuple! { (A 0, B 1) (A 0, B 1, C 2, D 3, E 4) }
+
+/// As `(count, mean, m2, min, max)`, which rebuilds it losslessly.
+impl Wire for Welford {
+    const MIN: usize = <(u64, f64, f64, f64, f64)>::MIN;
+    fn put(&self, w: &mut PayloadWriter) {
+        (self.count(), self.mean(), self.m2(), self.min(), self.max()).put(w);
+    }
+    fn get(r: &mut PayloadReader) -> Result<Self, CoreError> {
+        let (count, mean, m2, min, max) = Wire::get(r)?;
+        Ok(Welford::from_parts(count, mean, m2, min, max))
+    }
+}
+
+/// As its canonical spec string: compact, and the parser stays the
+/// single source of truth for its grammar.
+impl Wire for FaultPlan {
+    const MIN: usize = String::MIN;
+    fn put(&self, w: &mut PayloadWriter) {
+        self.to_spec().put(w);
+    }
+    fn get(r: &mut PayloadReader) -> Result<Self, CoreError> {
+        FaultPlan::parse(&String::get(r)?)
+            .map_err(|e| CoreError::PayloadDecode(format!("bad fault spec: {e}")))
+    }
+}
+
+/// Implement `Wire` for structs from their field lists, in wire order:
+/// `put` writes the fields in the listed order and `get` reads them back
+/// in it, so each field is named once for both directions.
+macro_rules! wire_struct {
+    ($($ty:ident { $($field:ident),+ $(,)? })+) => {$(
+        impl Wire for $ty {
+            const MIN: usize = 0 $(+ min_of(|s: &$ty| &s.$field))+;
+            fn put(&self, w: &mut PayloadWriter) {
+                $(Wire::put(&self.$field, w);)+
+            }
+            fn get(r: &mut PayloadReader) -> Result<Self, CoreError> {
+                Ok($ty { $($field: Wire::get(r)?),+ })
+            }
+        }
+    )+};
+}
+
+/// Implement `Wire` for enums from their variant lists: a one-byte
+/// tag, then the variant's fields in the listed order. A tag not listed
+/// decodes to `Err`. Tags are append-only: a retired tag is never
+/// reused.
+macro_rules! wire_enum {
+    ($($ty:ident {
+        $($tag:literal => $var:ident $(($($tup:ident),+))? $({ $($field:ident),+ })?),+ $(,)?
+    })+) => {$(
+        impl Wire for $ty {
+            const MIN: usize = 1;
+            fn put(&self, w: &mut PayloadWriter) {
+                match self {
+                    $($ty::$var $(($($tup),+))? $({ $($field),+ })? => {
+                        u8::put(&$tag, w);
+                        $($(Wire::put($tup, w);)+)?
+                        $($(Wire::put($field, w);)+)?
+                    })+
+                }
+            }
+            fn get(r: &mut PayloadReader) -> Result<Self, CoreError> {
+                Ok(match r.get_u8()? {
+                    $($tag => {
+                        $($(let $tup = Wire::get(r)?;)+)?
+                        $($(let $field = Wire::get(r)?;)+)?
+                        $ty::$var $(($($tup),+))? $({ $($field),+ })?
+                    })+
+                    tag => return Err(bad_tag(stringify!($ty), tag)),
+                })
+            }
+        }
+    )+};
+}
+
+wire_struct! {
+    StagePlacement { stage, worker, endpoint, speed }
+    AssignMsg {
+        app_xml, observe_us, adapt_us, control_latency_us, max_time_us, trace, placements,
+        my_stages, config,
+    }
+    DistConfig {
+        connect_timeout, retry, drain_window, report_grace, heartbeat_interval,
+        heartbeat_timeout, checkpoint_every, max_redial, fault, ack_window, replay_retain,
+    }
+    RetryPolicy { max_attempts, base_delay, max_delay }
+    StageReport {
+        name, placed_on, packets_in, packets_out, records_in, records_out, bytes_in, bytes_out,
+        packets_dropped, queue, latency, busy_time, exceptions_sent, exceptions_received, params,
+    }
+    ParamTrajectory { name, samples }
+    RunMeta { engine, placements }
+    StageSample {
+        t, stage, queue_depth, packets_in, packets_out, dropped, throughput, service_time,
+        bucket_wait,
+    }
+    AdaptRound {
+        t, stage, param, policy, d_tilde, phi1, phi2, phi3, sigma1, sigma2, suggested,
+        overload_sent, underload_sent, overload_received, underload_received,
+    }
+    LinkEvent { t, link, node, kind, detail }
+}
+
+wire_enum! {
+    CtrlMsg {
+        1 => Hello { name, data_addr, site, speed, capacity },
+        2 => Assign(assign),
+        3 => Ready { name },
+        4 => Start,
+        // The counters go before the stage reports.
+        5 => Report { worker, lost, replayed, deduped, stalled_us, stages },
+        6 => Trace(event),
+        7 => EdgeHello { edge, incarnation },
+        8 => Stop,
+        9 => Heartbeat { name },
+        10 => Checkpoint { stage, seq, crc, state, cursors },
+        11 => Reject { reason },
+        12 => Reassign { epoch, placements, checkpoints },
+        13 => ShardRequest { group, ordinal, split },
+        14 => ShardUpdate { group, epoch, map },
+    }
+    TraceEvent { 0 => Meta(meta), 1 => Sample(sample), 2 => Adapt(round), 3 => Link(event) }
+    LinkEventKind {
+        0 => Connected, 1 => Reconnecting, 2 => Reconnected, 3 => Dead, 4 => CrcDrop,
+        5 => PeerEof, 6 => Drained, 7 => WorkerLost, 8 => Reassigned, 9 => Restored,
+        10 => Resumed, 11 => Rejected, 12 => FaultInjected, 13 => StaleDiscarded,
+        14 => CheckpointCorrupt, 15 => ReconnectExhausted, 16 => ShardSplit, 17 => ShardMerge,
+        18 => Misrouted, 19 => Acked, 20 => Replayed, 21 => Deduped, 22 => Stalled,
+        23 => Skipped,
+    }
+    LoadException { 0 => Overload, 1 => Underload }
+}
+
+fn encode(kind: FrameKind, msg: &impl Wire) -> Frame {
+    let mut w = PayloadWriter::new();
+    msg.put(&mut w);
+    Frame { kind, stream_id: 0, seq: 0, payload: w.finish() }
 }
 
 /// Encode a control message into a `Control` frame.
 pub(crate) fn encode_ctrl(msg: &CtrlMsg) -> Frame {
-    let mut w = PayloadWriter::new();
-    match msg {
-        CtrlMsg::Hello { name, data_addr, site, speed, capacity } => {
-            w.put_bytes(&[TAG_HELLO]);
-            put_str(&mut w, name);
-            put_str(&mut w, data_addr);
-            put_opt_str(&mut w, site);
-            w.put_f64(*speed);
-            w.put_u32(*capacity);
-        }
-        CtrlMsg::Assign(a) => {
-            w.put_bytes(&[TAG_ASSIGN]);
-            put_str(&mut w, &a.app_xml);
-            w.put_u64(a.observe_us);
-            w.put_u64(a.adapt_us);
-            w.put_u64(a.control_latency_us);
-            w.put_u64(a.max_time_us);
-            w.put_bytes(&[a.trace as u8]);
-            w.put_u32(a.placements.len() as u32);
-            for p in &a.placements {
-                w.put_u32(p.stage);
-                put_str(&mut w, &p.worker);
-                put_str(&mut w, &p.endpoint);
-                w.put_f64(p.speed);
-            }
-            w.put_u32(a.my_stages.len() as u32);
-            for &s in &a.my_stages {
-                w.put_u32(s);
-            }
-            put_config(&mut w, &a.config);
-        }
-        CtrlMsg::Ready { name } => {
-            w.put_bytes(&[TAG_READY]);
-            put_str(&mut w, name);
-        }
-        CtrlMsg::Start => {
-            w.put_bytes(&[TAG_START]);
-        }
-        CtrlMsg::Report { worker, stages, lost, replayed, deduped, stalled_us } => {
-            w.put_bytes(&[TAG_REPORT]);
-            put_str(&mut w, worker);
-            w.put_u64(*lost);
-            w.put_u64(*replayed);
-            w.put_u64(*deduped);
-            w.put_u64(*stalled_us);
-            w.put_u32(stages.len() as u32);
-            for s in stages {
-                put_stage_report(&mut w, s);
-            }
-        }
-        CtrlMsg::Trace(e) => {
-            w.put_bytes(&[TAG_TRACE]);
-            put_trace_event(&mut w, e);
-        }
-        CtrlMsg::EdgeHello { edge, incarnation } => {
-            w.put_bytes(&[TAG_EDGE_HELLO]);
-            w.put_u32(*edge);
-            w.put_u64(*incarnation);
-        }
-        CtrlMsg::Stop => {
-            w.put_bytes(&[TAG_STOP]);
-        }
-        CtrlMsg::Heartbeat { name } => {
-            w.put_bytes(&[TAG_HEARTBEAT]);
-            put_str(&mut w, name);
-        }
-        CtrlMsg::Checkpoint { stage, seq, crc, state, cursors } => {
-            w.put_bytes(&[TAG_CHECKPOINT]);
-            w.put_u32(*stage);
-            w.put_u64(*seq);
-            w.put_u32(*crc);
-            w.put_u32(state.len() as u32);
-            w.put_bytes(state);
-            put_cursors(&mut w, cursors);
-        }
-        CtrlMsg::Reject { reason } => {
-            w.put_bytes(&[TAG_REJECT]);
-            put_str(&mut w, reason);
-        }
-        CtrlMsg::Reassign { epoch, placements, checkpoints } => {
-            w.put_bytes(&[TAG_REASSIGN]);
-            w.put_u64(*epoch);
-            w.put_u32(placements.len() as u32);
-            for p in placements {
-                w.put_u32(p.stage);
-                put_str(&mut w, &p.worker);
-                put_str(&mut w, &p.endpoint);
-                w.put_f64(p.speed);
-            }
-            w.put_u32(checkpoints.len() as u32);
-            for (stage, seq, crc, state, cursors) in checkpoints {
-                w.put_u32(*stage);
-                w.put_u64(*seq);
-                w.put_u32(*crc);
-                w.put_u32(state.len() as u32);
-                w.put_bytes(state);
-                put_cursors(&mut w, cursors);
-            }
-        }
-        CtrlMsg::ShardRequest { group, ordinal, split } => {
-            w.put_bytes(&[TAG_SHARD_REQUEST]);
-            w.put_u32(*group);
-            w.put_u32(*ordinal);
-            w.put_bytes(&[*split as u8]);
-        }
-        CtrlMsg::ShardUpdate { group, epoch, map } => {
-            w.put_bytes(&[TAG_SHARD_UPDATE]);
-            w.put_u32(*group);
-            w.put_u64(*epoch);
-            w.put_u32(map.len() as u32);
-            w.put_bytes(map);
-        }
-    }
-    Frame { kind: FrameKind::Control, stream_id: 0, seq: 0, payload: w.finish() }
+    encode(FrameKind::Control, msg)
 }
 
 /// Decode a `Control` frame into a message.
@@ -702,332 +570,164 @@ pub(crate) fn decode_ctrl(frame: &Frame) -> Result<CtrlMsg, CoreError> {
             frame.kind
         )));
     }
-    let mut r = PayloadReader::new(frame.payload.clone());
-    Ok(match r.get_u8()? {
-        TAG_HELLO => CtrlMsg::Hello {
-            name: get_str(&mut r)?,
-            data_addr: get_str(&mut r)?,
-            site: get_opt_str(&mut r)?,
-            speed: r.get_f64()?,
-            capacity: r.get_u32()?,
-        },
-        TAG_ASSIGN => {
-            let app_xml = get_str(&mut r)?;
-            let observe_us = r.get_u64()?;
-            let adapt_us = r.get_u64()?;
-            let control_latency_us = r.get_u64()?;
-            let max_time_us = r.get_u64()?;
-            let trace = r.get_u8()? != 0;
-            let n = r.get_u32()? as usize;
-            let mut placements = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                placements.push(StagePlacement {
-                    stage: r.get_u32()?,
-                    worker: get_str(&mut r)?,
-                    endpoint: get_str(&mut r)?,
-                    speed: r.get_f64()?,
-                });
-            }
-            let n = r.get_u32()? as usize;
-            let mut my_stages = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                my_stages.push(r.get_u32()?);
-            }
-            let config = get_config(&mut r)?;
-            CtrlMsg::Assign(Box::new(AssignMsg {
-                app_xml,
-                observe_us,
-                adapt_us,
-                control_latency_us,
-                max_time_us,
-                trace,
-                placements,
-                my_stages,
-                config,
-            }))
-        }
-        TAG_READY => CtrlMsg::Ready { name: get_str(&mut r)? },
-        TAG_START => CtrlMsg::Start,
-        TAG_REPORT => {
-            let worker = get_str(&mut r)?;
-            let lost = r.get_u64()?;
-            let replayed = r.get_u64()?;
-            let deduped = r.get_u64()?;
-            let stalled_us = r.get_u64()?;
-            let n = r.get_u32()? as usize;
-            let mut stages = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                stages.push(get_stage_report(&mut r)?);
-            }
-            CtrlMsg::Report { worker, stages, lost, replayed, deduped, stalled_us }
-        }
-        TAG_TRACE => CtrlMsg::Trace(get_trace_event(&mut r)?),
-        TAG_EDGE_HELLO => CtrlMsg::EdgeHello { edge: r.get_u32()?, incarnation: r.get_u64()? },
-        TAG_STOP => CtrlMsg::Stop,
-        TAG_HEARTBEAT => CtrlMsg::Heartbeat { name: get_str(&mut r)? },
-        TAG_CHECKPOINT => {
-            let stage = r.get_u32()?;
-            let seq = r.get_u64()?;
-            let crc = r.get_u32()?;
-            let len = r.get_u32()? as usize;
-            let state = r.get_bytes(len)?.into_vec();
-            let cursors = get_cursors(&mut r)?;
-            CtrlMsg::Checkpoint { stage, seq, crc, state, cursors }
-        }
-        TAG_REJECT => CtrlMsg::Reject { reason: get_str(&mut r)? },
-        TAG_REASSIGN => {
-            let epoch = r.get_u64()?;
-            let n = r.get_u32()? as usize;
-            let mut placements = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                placements.push(StagePlacement {
-                    stage: r.get_u32()?,
-                    worker: get_str(&mut r)?,
-                    endpoint: get_str(&mut r)?,
-                    speed: r.get_f64()?,
-                });
-            }
-            let n = r.get_u32()? as usize;
-            let mut checkpoints = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                let stage = r.get_u32()?;
-                let seq = r.get_u64()?;
-                let crc = r.get_u32()?;
-                let len = r.get_u32()? as usize;
-                let state = r.get_bytes(len)?.into_vec();
-                checkpoints.push((stage, seq, crc, state, get_cursors(&mut r)?));
-            }
-            CtrlMsg::Reassign { epoch, placements, checkpoints }
-        }
-        TAG_SHARD_REQUEST => CtrlMsg::ShardRequest {
-            group: r.get_u32()?,
-            ordinal: r.get_u32()?,
-            split: r.get_u8()? != 0,
-        },
-        TAG_SHARD_UPDATE => {
-            let group = r.get_u32()?;
-            let epoch = r.get_u64()?;
-            let len = r.get_u32()? as usize;
-            CtrlMsg::ShardUpdate { group, epoch, map: r.get_bytes(len)?.into_vec() }
-        }
-        other => return Err(CoreError::PayloadDecode(format!("unknown control tag {other}"))),
-    })
+    CtrlMsg::get(&mut PayloadReader::new(frame.payload.clone()))
 }
 
 /// Encode an upstream-bound load exception.
 pub(crate) fn encode_exception(e: LoadException) -> Frame {
-    let byte = match e {
-        LoadException::Overload => 0u8,
-        LoadException::Underload => 1u8,
-    };
-    Frame { kind: FrameKind::Exception, stream_id: 0, seq: 0, payload: Bytes::from(vec![byte]) }
+    encode(FrameKind::Exception, &e)
 }
 
 /// Decode an `Exception` frame.
 pub(crate) fn decode_exception(frame: &Frame) -> Result<LoadException, CoreError> {
-    let mut r = PayloadReader::new(frame.payload.clone());
-    Ok(match r.get_u8()? {
-        0 => LoadException::Overload,
-        1 => LoadException::Underload,
-        other => return Err(CoreError::PayloadDecode(format!("bad exception kind {other}"))),
-    })
+    LoadException::get(&mut PayloadReader::new(frame.payload.clone()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+    use std::fmt::Debug;
 
-    fn round_trip(msg: CtrlMsg) {
-        let frame = encode_ctrl(&msg);
-        let back = decode_ctrl(&frame).expect("decode");
-        assert_eq!(back, msg);
+    /// Passes every allocation to the system allocator and, on a thread
+    /// that armed it, remembers the largest single request, so a test can
+    /// bound what a decoder allocates for a given payload.
+    struct PeakAlloc;
+
+    thread_local! {
+        static PEAK: Cell<Option<usize>> = const { Cell::new(None) };
     }
 
-    #[test]
-    fn hello_round_trips() {
-        round_trip(CtrlMsg::Hello {
-            name: "w0".into(),
-            data_addr: "127.0.0.1:4000".into(),
-            site: Some("source-0".into()),
-            speed: 1.5,
-            capacity: 4,
-        });
-        round_trip(CtrlMsg::Hello {
-            name: "w1".into(),
-            data_addr: "127.0.0.1:4001".into(),
-            site: None,
-            speed: 1.0,
-            capacity: 2,
+    fn note(size: usize) {
+        let _ = PEAK.try_with(|p| {
+            if let Some(peak) = p.get() {
+                p.set(Some(peak.max(size)));
+            }
         });
     }
 
-    #[test]
-    fn assign_round_trips() {
-        round_trip(CtrlMsg::Assign(Box::new(AssignMsg {
-            app_xml: "<application name=\"x\" repository=\"count-samps\"/>".into(),
-            observe_us: 100_000,
-            adapt_us: 1_000_000,
-            control_latency_us: 1_000,
-            max_time_us: 60_000_000,
-            trace: true,
-            placements: vec![
-                StagePlacement {
-                    stage: 0,
-                    worker: "w0".into(),
-                    endpoint: "127.0.0.1:4000".into(),
-                    speed: 1.0,
-                },
-                StagePlacement {
-                    stage: 1,
-                    worker: "w1".into(),
-                    endpoint: "127.0.0.1:4001".into(),
-                    speed: 2.0,
-                },
-            ],
-            my_stages: vec![1],
-            config: DistConfig::default(),
-        })));
-    }
-
-    #[test]
-    fn simple_messages_round_trip() {
-        round_trip(CtrlMsg::Ready { name: "w2".into() });
-        round_trip(CtrlMsg::Start);
-        round_trip(CtrlMsg::EdgeHello { edge: 3, incarnation: 0 });
-        round_trip(CtrlMsg::EdgeHello { edge: 7, incarnation: 2 });
-        round_trip(CtrlMsg::Stop);
-        round_trip(CtrlMsg::Heartbeat { name: "w0".into() });
-        round_trip(CtrlMsg::Reject { reason: "duplicate worker name w0".into() });
-    }
-
-    #[test]
-    fn checkpoint_round_trips() {
-        round_trip(CtrlMsg::Checkpoint {
-            stage: 4,
-            seq: 128,
-            crc: gates_net::crc32(&[1, 2, 3, 4, 5]),
-            state: vec![1, 2, 3, 4, 5],
-            cursors: vec![(2, 120), (5, 8)],
-        });
-        round_trip(CtrlMsg::Checkpoint {
-            stage: 0,
-            seq: 0,
-            crc: 0,
-            state: Vec::new(),
-            cursors: Vec::new(),
-        });
-    }
-
-    #[test]
-    fn reassign_round_trips() {
-        round_trip(CtrlMsg::Reassign {
-            epoch: 3,
-            placements: vec![StagePlacement {
-                stage: 0,
-                worker: "w1".into(),
-                endpoint: "127.0.0.1:4001".into(),
-                speed: 2.0,
-            }],
-            checkpoints: vec![(0, 64, gates_net::crc32(&[9, 8, 7]), vec![9, 8, 7], vec![(1, 60)])],
-        });
-        round_trip(CtrlMsg::Reassign { epoch: 0, placements: Vec::new(), checkpoints: Vec::new() });
-    }
-
-    #[test]
-    fn failover_link_kinds_round_trip() {
-        for kind in [
-            LinkEventKind::Reassigned,
-            LinkEventKind::Restored,
-            LinkEventKind::Resumed,
-            LinkEventKind::Rejected,
-        ] {
-            round_trip(CtrlMsg::Trace(TraceEvent::Link(LinkEvent {
-                t: 4.2,
-                link: "collector".into(),
-                node: "coordinator".into(),
-                kind,
-                detail: "w2 -> w0".into(),
-            })));
+    // SAFETY: forwards every call to `System` unchanged.
+    unsafe impl GlobalAlloc for PeakAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            System.alloc(layout)
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note(new_size);
+            System.realloc(ptr, layout, new_size)
         }
     }
 
-    #[test]
-    fn delivery_link_kinds_round_trip() {
-        for kind in [
-            LinkEventKind::Acked,
-            LinkEventKind::Replayed,
-            LinkEventKind::Deduped,
-            LinkEventKind::Stalled,
-            LinkEventKind::Skipped,
-        ] {
-            round_trip(CtrlMsg::Trace(TraceEvent::Link(LinkEvent {
-                t: 0.5,
-                link: "summarizer-0->collector".into(),
-                node: "w1".into(),
-                kind,
-                detail: "cursor 64".into(),
-            })));
-        }
+    #[global_allocator]
+    static ALLOC: PeakAlloc = PeakAlloc;
+
+    /// `f`'s result and the largest single allocation it made.
+    fn peak_alloc<R>(f: impl FnOnce() -> R) -> (R, usize) {
+        PEAK.with(|p| p.set(Some(0)));
+        let out = f();
+        (out, PEAK.with(|p| p.replace(None)).unwrap_or(0))
     }
 
-    #[test]
-    fn non_default_config_round_trips() {
-        // Every field differs from its default, so each codec line is
-        // checked by the round trip.
+    /// `x`'s encoding, decoded back: checks that the decoder reads exactly
+    /// what the encoder wrote, and that no value encodes to fewer than
+    /// `MIN` bytes (the bound the length checks rely on).
+    fn put_get<T: Wire + Debug>(x: &T) -> (bytes::Bytes, T) {
+        let mut w = PayloadWriter::new();
+        x.put(&mut w);
+        let bytes = w.finish();
+        assert!(bytes.len() >= T::MIN, "{x:?} encodes to {} < MIN {}", bytes.len(), T::MIN);
+        let mut r = PayloadReader::new(bytes.clone());
+        let back = T::get(&mut r).expect("decode");
+        assert_eq!(r.remaining(), 0, "{x:?} left bytes unread");
+        (bytes, back)
+    }
+
+    /// The property every wire type keeps: `get(put(x)) == x`.
+    fn round_trip<T: Wire + PartialEq + Debug>(x: &T) {
+        assert_eq!(&put_get(x).1, x);
+    }
+
+    /// The same property for values that may hold a NaN, which equals
+    /// nothing: the decoded value re-encodes to the same bytes.
+    fn round_trip_bytes<T: Wire + Debug>(x: &T) {
+        let (bytes, back) = put_get(x);
+        assert_eq!(put_get(&back).0, bytes, "{x:?} re-encodes differently");
+    }
+
+    /// One value of the golden corpus.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Golden {
+        Ctrl(CtrlMsg),
+        Exception(LoadException),
+    }
+
+    fn golden() -> Vec<(String, Golden)> {
         let ms = Duration::from_millis;
-        let config = DistConfig { connect_timeout: ms(750), ..DistConfig::default() }
-            .retry(RetryPolicy { max_attempts: 4, base_delay: ms(30), max_delay: ms(900) })
-            .drain_window(ms(1_500))
-            .report_grace(ms(2_500))
-            .heartbeat_interval(ms(120))
-            .heartbeat_timeout(ms(1_200))
-            .checkpoint_every(7)
-            .max_redial(ms(9_000))
-            .ack_window(32)
-            .replay_retain(96)
-            .fault(gates_net::FaultPlan::parse("seed=7,drop=0.02,dup=0.01").unwrap());
-        round_trip(CtrlMsg::Assign(Box::new(AssignMsg {
-            app_xml: "<application name=\"x\" repository=\"count-samps\"/>".into(),
-            observe_us: 1,
-            adapt_us: 2,
-            control_latency_us: 3,
-            max_time_us: 4,
-            trace: false,
-            placements: Vec::new(),
-            my_stages: Vec::new(),
-            config,
-        })));
-    }
-
-    #[test]
-    fn shard_messages_round_trip() {
-        round_trip(CtrlMsg::ShardRequest { group: 0, ordinal: 2, split: true });
-        round_trip(CtrlMsg::ShardRequest { group: 1, ordinal: 0, split: false });
-        let map = gates_core::ShardMap::uniform(4);
-        round_trip(CtrlMsg::ShardUpdate { group: 0, epoch: 7, map: map.encode() });
-        round_trip(CtrlMsg::ShardUpdate { group: 3, epoch: 1, map: Vec::new() });
-    }
-
-    #[test]
-    fn shard_link_kinds_round_trip() {
-        for kind in [LinkEventKind::ShardSplit, LinkEventKind::ShardMerge, LinkEventKind::Misrouted]
-        {
-            round_trip(CtrlMsg::Trace(TraceEvent::Link(LinkEvent {
-                t: 1.0,
-                link: "agg#0".into(),
-                node: "w1".into(),
-                kind,
-                detail: "epoch 2".into(),
-            })));
-        }
-    }
-
-    #[test]
-    fn report_round_trips_with_welford_and_params() {
+        let placement = |stage, worker: &str, endpoint: &str, speed| StagePlacement {
+            stage,
+            worker: worker.into(),
+            endpoint: endpoint.into(),
+            speed,
+        };
+        let assign = |trace, config| {
+            Golden::Ctrl(CtrlMsg::Assign(Box::new(AssignMsg {
+                app_xml: "<application name=\"cs\" repository=\"count-samps\"/>".into(),
+                observe_us: 100_000,
+                adapt_us: 1_000_000,
+                control_latency_us: 1_000,
+                max_time_us: 60_000_000,
+                trace,
+                placements: vec![
+                    placement(0, "w0", "127.0.0.1:4000", 1.0),
+                    placement(1, "w1", "[::1]:4001", 2.5),
+                ],
+                my_stages: vec![1, 2],
+                config,
+            })))
+        };
+        let plain = DistConfig {
+            connect_timeout: ms(2_000),
+            retry: RetryPolicy { max_attempts: 6, base_delay: ms(50), max_delay: ms(1_000) },
+            drain_window: ms(5_000),
+            report_grace: ms(10_000),
+            heartbeat_interval: ms(500),
+            heartbeat_timeout: ms(3_000),
+            checkpoint_every: 64,
+            max_redial: ms(15_000),
+            fault: None,
+            ack_window: 256,
+            replay_retain: 1_024,
+        };
+        let tuned = DistConfig {
+            connect_timeout: Duration::from_micros(750_001),
+            retry: RetryPolicy { max_attempts: 4, base_delay: ms(30), max_delay: ms(900) },
+            drain_window: ms(1_500),
+            report_grace: ms(2_500),
+            heartbeat_interval: ms(120),
+            heartbeat_timeout: ms(1_200),
+            checkpoint_every: 7,
+            max_redial: ms(9_000),
+            fault: Some(
+                gates_net::FaultPlan::parse(
+                    "seed=7,drop=0.02,corrupt=0.005,delay=5ms..40ms,dup=0.01,\
+                     partition=wc@2s+800ms,reset=0.002,ctrl=on",
+                )
+                .unwrap(),
+            ),
+            ack_window: 32,
+            replay_retain: 96,
+        };
         let mut queue = Welford::new();
         for x in [0.0, 4.0, 2.0, 7.0] {
             queue.push(x);
         }
+        let mut latency = Welford::new();
+        latency.push(0.003);
         let report = StageReport {
             name: "summarizer-0".into(),
             placed_on: "w1".into(),
@@ -1038,108 +738,436 @@ mod tests {
             bytes_in: 81_920,
             bytes_out: 9_600,
             packets_dropped: 3,
-            queue: queue.clone(),
-            latency: Welford::new(),
+            queue,
+            latency,
             busy_time: SimDuration::from_millis(1_234),
             exceptions_sent: (2, 9),
             exceptions_received: (0, 4),
-            params: vec![ParamTrajectory {
-                name: "k".into(),
-                samples: vec![(0.0, 100.0), (0.2, 110.0), (0.4, 120.0)],
-            }],
+            params: vec![
+                ParamTrajectory {
+                    name: "k".into(),
+                    samples: vec![(0.0, 100.0), (0.2, 110.0), (0.4, 120.0)],
+                },
+                ParamTrajectory { name: "k1".into(), samples: Vec::new() },
+            ],
         };
-        let frame = encode_ctrl(&CtrlMsg::Report {
-            worker: "w1".into(),
-            stages: vec![report.clone()],
-            lost: 3,
-            replayed: 17,
-            deduped: 9,
-            stalled_us: 12_500,
-        });
-        match decode_ctrl(&frame).unwrap() {
-            CtrlMsg::Report { worker, stages, lost, replayed, deduped, stalled_us } => {
-                assert_eq!(worker, "w1");
-                assert_eq!((lost, replayed, deduped, stalled_us), (3, 17, 9, 12_500));
-                assert_eq!(stages.len(), 1);
-                let s = &stages[0];
-                assert_eq!(s.name, "summarizer-0");
-                assert_eq!(s.queue.count(), queue.count());
-                assert!((s.queue.mean() - queue.mean()).abs() < 1e-12);
-                assert!((s.queue.variance() - queue.variance()).abs() < 1e-9);
-                assert_eq!(s.params[0].samples.len(), 3);
-                assert_eq!(s.params[0].final_value(), Some(120.0));
-                assert_eq!(s.busy_time.as_micros(), 1_234_000);
+        let idle = StageReport {
+            name: "collector".into(),
+            latency: Welford::new(),
+            ..StageReport::default()
+        };
+        let state: Vec<u8> = (0..40u8).map(|b| b.wrapping_mul(37)).collect();
+        let mut out: Vec<(String, Golden)> = vec![
+            (
+                "hello".into(),
+                Golden::Ctrl(CtrlMsg::Hello {
+                    name: "w0".into(),
+                    data_addr: "127.0.0.1:4000".into(),
+                    site: Some("source-0".into()),
+                    speed: 1.5,
+                    capacity: 4,
+                }),
+            ),
+            (
+                "hello-no-site".into(),
+                Golden::Ctrl(CtrlMsg::Hello {
+                    name: "w1".into(),
+                    data_addr: "127.0.0.1:4001".into(),
+                    site: None,
+                    speed: 1.0,
+                    capacity: 2,
+                }),
+            ),
+            ("assign".into(), assign(false, plain)),
+            ("assign-tuned".into(), assign(true, tuned)),
+            ("ready".into(), Golden::Ctrl(CtrlMsg::Ready { name: "w2".into() })),
+            ("start".into(), Golden::Ctrl(CtrlMsg::Start)),
+            (
+                "report".into(),
+                Golden::Ctrl(CtrlMsg::Report {
+                    worker: "w1".into(),
+                    stages: vec![report, idle],
+                    lost: 3,
+                    replayed: 17,
+                    deduped: 9,
+                    stalled_us: 12_500,
+                }),
+            ),
+            (
+                "report-empty".into(),
+                Golden::Ctrl(CtrlMsg::Report {
+                    worker: "w2".into(),
+                    stages: Vec::new(),
+                    lost: 0,
+                    replayed: 0,
+                    deduped: 0,
+                    stalled_us: 0,
+                }),
+            ),
+            (
+                "trace-meta".into(),
+                Golden::Ctrl(CtrlMsg::Trace(TraceEvent::Meta(RunMeta {
+                    engine: "dist".into(),
+                    placements: vec![
+                        ("source-0".into(), "w0".into()),
+                        ("collector".into(), "w1".into()),
+                    ],
+                }))),
+            ),
+            (
+                "trace-sample".into(),
+                Golden::Ctrl(CtrlMsg::Trace(TraceEvent::Sample(StageSample {
+                    t: 1.5,
+                    stage: "collector".into(),
+                    queue_depth: 12,
+                    packets_in: 40,
+                    packets_out: 0,
+                    dropped: 1,
+                    throughput: 26.75,
+                    service_time: 0.002,
+                    bucket_wait: 0.125,
+                }))),
+            ),
+            (
+                "trace-adapt".into(),
+                Golden::Ctrl(CtrlMsg::Trace(TraceEvent::Adapt(AdaptRound {
+                    t: 2.0,
+                    stage: "summarizer-0".into(),
+                    param: "k".into(),
+                    policy: "aimd".into(),
+                    d_tilde: 0.25,
+                    phi1: 0.1,
+                    phi2: 0.2,
+                    phi3: 0.3,
+                    sigma1: 1.0,
+                    sigma2: 0.5,
+                    suggested: 130.0,
+                    overload_sent: 1,
+                    underload_sent: 7,
+                    overload_received: 5,
+                    underload_received: 3,
+                }))),
+            ),
+        ];
+        for (i, kind) in [
+            LinkEventKind::Connected,
+            LinkEventKind::Reconnecting,
+            LinkEventKind::Reconnected,
+            LinkEventKind::Dead,
+            LinkEventKind::CrcDrop,
+            LinkEventKind::PeerEof,
+            LinkEventKind::Drained,
+            LinkEventKind::WorkerLost,
+            LinkEventKind::Reassigned,
+            LinkEventKind::Restored,
+            LinkEventKind::Resumed,
+            LinkEventKind::Rejected,
+            LinkEventKind::FaultInjected,
+            LinkEventKind::StaleDiscarded,
+            LinkEventKind::CheckpointCorrupt,
+            LinkEventKind::ReconnectExhausted,
+            LinkEventKind::ShardSplit,
+            LinkEventKind::ShardMerge,
+            LinkEventKind::Misrouted,
+            LinkEventKind::Acked,
+            LinkEventKind::Replayed,
+            LinkEventKind::Deduped,
+            LinkEventKind::Stalled,
+            LinkEventKind::Skipped,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            out.push((
+                format!("trace-link-{}", kind.as_str()),
+                Golden::Ctrl(CtrlMsg::Trace(TraceEvent::Link(LinkEvent {
+                    t: 3.0 + i as f64 / 4.0,
+                    link: "summarizer-0->collector".into(),
+                    node: format!("w{i}"),
+                    kind,
+                    detail: format!("attempt {i}"),
+                }))),
+            ));
+        }
+        out.extend([
+            ("edge-hello".into(), Golden::Ctrl(CtrlMsg::EdgeHello { edge: 7, incarnation: 2 })),
+            ("stop".into(), Golden::Ctrl(CtrlMsg::Stop)),
+            ("heartbeat".into(), Golden::Ctrl(CtrlMsg::Heartbeat { name: "w0".into() })),
+            (
+                "checkpoint".into(),
+                Golden::Ctrl(CtrlMsg::Checkpoint {
+                    stage: 4,
+                    seq: 128,
+                    crc: gates_net::crc32(&state),
+                    state: state.clone(),
+                    cursors: vec![(2, 120), (5, 8)],
+                }),
+            ),
+            (
+                "checkpoint-empty".into(),
+                Golden::Ctrl(CtrlMsg::Checkpoint {
+                    stage: 0,
+                    seq: 0,
+                    crc: 0,
+                    state: Vec::new(),
+                    cursors: Vec::new(),
+                }),
+            ),
+            (
+                "reject".into(),
+                Golden::Ctrl(CtrlMsg::Reject { reason: "duplicate worker name w0".into() }),
+            ),
+            (
+                "reassign".into(),
+                Golden::Ctrl(CtrlMsg::Reassign {
+                    epoch: 3,
+                    placements: vec![placement(0, "w1", "127.0.0.1:4001", 2.0)],
+                    checkpoints: vec![
+                        (0, 64, gates_net::crc32(&state), state.clone(), vec![(1, 60)]),
+                        (3, 9, 0, Vec::new(), Vec::new()),
+                    ],
+                }),
+            ),
+            (
+                "reassign-empty".into(),
+                Golden::Ctrl(CtrlMsg::Reassign {
+                    epoch: 0,
+                    placements: Vec::new(),
+                    checkpoints: Vec::new(),
+                }),
+            ),
+            (
+                "shard-request-split".into(),
+                Golden::Ctrl(CtrlMsg::ShardRequest { group: 0, ordinal: 2, split: true }),
+            ),
+            (
+                "shard-request-merge".into(),
+                Golden::Ctrl(CtrlMsg::ShardRequest { group: 1, ordinal: 0, split: false }),
+            ),
+            (
+                "shard-update".into(),
+                Golden::Ctrl(CtrlMsg::ShardUpdate {
+                    group: 0,
+                    epoch: 7,
+                    map: gates_core::ShardMap::uniform(4).encode(),
+                }),
+            ),
+            (
+                "shard-update-empty".into(),
+                Golden::Ctrl(CtrlMsg::ShardUpdate { group: 3, epoch: 1, map: Vec::new() }),
+            ),
+            ("exception-overload".into(), Golden::Exception(LoadException::Overload)),
+            ("exception-underload".into(), Golden::Exception(LoadException::Underload)),
+        ]);
+        out
+    }
+
+    fn encode_golden(g: &Golden) -> Frame {
+        match g {
+            Golden::Ctrl(m) => encode_ctrl(m),
+            Golden::Exception(e) => encode_exception(*e),
+        }
+    }
+
+    fn decode_golden(f: &Frame) -> Result<Golden, CoreError> {
+        match f.kind {
+            FrameKind::Exception => decode_exception(f).map(Golden::Exception),
+            _ => decode_ctrl(f).map(Golden::Ctrl),
+        }
+    }
+
+    /// The recorded corpus: `(name, payload)` per line of the fixture.
+    fn fixture() -> Vec<(String, Vec<u8>)> {
+        include_str!("../../testdata/ctrl_golden.hex")
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(|l| {
+                let (name, hex) = l.split_once(' ').expect("`<name> <hex>`");
+                let bytes = (0..hex.len())
+                    .step_by(2)
+                    .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+                    .collect();
+                (name.to_string(), bytes)
+            })
+            .collect()
+    }
+
+    fn frame_like(f: &Frame, payload: Vec<u8>) -> Frame {
+        Frame { kind: f.kind, stream_id: 0, seq: 0, payload: payload.into() }
+    }
+
+    #[test]
+    fn golden_corpus_encodes_byte_for_byte() {
+        let golden = golden();
+        let fixture = fixture();
+        assert_eq!(golden.len(), fixture.len(), "corpus and fixture differ in length");
+        for ((name, g), (fixture_name, bytes)) in golden.iter().zip(&fixture) {
+            assert_eq!(name, fixture_name);
+            let frame = encode_golden(g);
+            assert_eq!(&frame.payload[..], &bytes[..], "{name}: wire bytes changed");
+            let back = decode_golden(&frame_like(&frame, bytes.clone()));
+            assert_eq!(back.as_ref().ok(), Some(g), "{name}: decodes to {back:?}");
+            match g {
+                Golden::Ctrl(m) => round_trip(m),
+                Golden::Exception(e) => round_trip(e),
             }
-            other => panic!("unexpected {other:?}"),
         }
     }
 
-    #[test]
-    fn trace_events_round_trip() {
-        for event in [
-            TraceEvent::Meta(RunMeta {
-                engine: "dist".into(),
-                placements: vec![("collector".into(), "w0".into())],
-            }),
-            TraceEvent::Sample(StageSample {
-                t: 1.5,
-                stage: "collector".into(),
-                queue_depth: 12,
-                packets_in: 40,
-                packets_out: 0,
-                dropped: 1,
-                throughput: 26.7,
-                service_time: 0.002,
-                bucket_wait: 0.0,
-            }),
-            TraceEvent::Adapt(AdaptRound {
-                t: 2.0,
-                stage: "summarizer-0".into(),
-                param: "k".into(),
-                policy: "aimd".into(),
-                d_tilde: 0.25,
-                phi1: 0.1,
-                phi2: 0.2,
-                phi3: 0.3,
-                sigma1: 1.0,
-                sigma2: 0.5,
-                suggested: 130.0,
-                overload_sent: 1,
-                underload_sent: 7,
-                overload_received: 0,
-                underload_received: 3,
-            }),
-            TraceEvent::Link(LinkEvent {
-                t: 3.0,
-                link: "summarizer-0->collector".into(),
-                node: "w1".into(),
-                kind: LinkEventKind::Reconnected,
-                detail: "attempt 2".into(),
-            }),
-        ] {
-            round_trip(CtrlMsg::Trace(event));
+    proptest! {
+        #[test]
+        fn leaf_types_round_trip(
+            byte in any::<u8>(),
+            word in any::<u32>(),
+            wide in any::<u64>(),
+            real in -1e12f64..1e12,
+            flag in any::<bool>(),
+            count in any::<usize>(),
+            text in "\\PC{0,24}",
+            site in proptest::option::of("[a-z0-9:.]{0,12}"),
+            bytes in proptest::collection::vec(any::<u8>(), 0..64),
+            cursors in proptest::collection::vec((any::<u32>(), any::<u64>()), 0..8),
+            xs in proptest::collection::vec(-1e6f64..1e6, 0..16),
+            drop in 0.0f64..1.0,
+        ) {
+            round_trip(&byte);
+            round_trip(&word);
+            round_trip(&wide);
+            round_trip(&real);
+            round_trip(&flag);
+            round_trip(&count);
+            round_trip(&Duration::from_micros(wide));
+            round_trip(&SimDuration::from_micros(wide));
+            round_trip(&text);
+            round_trip(&Box::new(text.clone()));
+            round_trip(&site);
+            round_trip(&bytes);
+            round_trip(&cursors);
+            round_trip(&(word, wide, word, bytes.clone(), cursors.clone()));
+            let mut stats = Welford::new();
+            for &x in &xs {
+                stats.push(x);
+            }
+            round_trip(&stats);
+            round_trip(&RetryPolicy {
+                max_attempts: word,
+                base_delay: Duration::from_micros(wide / 2),
+                max_delay: Duration::from_micros(wide),
+            });
+            round_trip(&FaultPlan::parse(&format!("seed={wide},drop={drop}")).unwrap());
         }
     }
 
-    #[test]
-    fn exceptions_round_trip() {
-        for e in [LoadException::Overload, LoadException::Underload] {
-            let frame = encode_exception(e);
-            assert_eq!(frame.kind, FrameKind::Exception);
-            assert_eq!(decode_exception(&frame).unwrap(), e);
+    /// One seeded corruption of `bytes`: overwrite, bit flip, a `u32`
+    /// field set to `u32::MAX`, insertion, deletion or truncation.
+    fn mutate(bytes: &[u8], rng: &mut TestRng) -> Vec<u8> {
+        let mut m = bytes.to_vec();
+        let at = rng.usize_in(0, m.len().max(1));
+        match rng.usize_in(0, 6) {
+            0 if !m.is_empty() => m[at] = rng.next_u64() as u8,
+            1 if !m.is_empty() => m[at] ^= 1 << rng.usize_in(0, 8),
+            2 if m.len() >= 4 => {
+                let at = rng.usize_in(0, m.len() - 3);
+                m[at..at + 4].copy_from_slice(&[0xFF; 4]);
+            }
+            3 => m.insert(at.min(m.len()), rng.next_u64() as u8),
+            4 if !m.is_empty() => {
+                m.remove(at);
+            }
+            _ => m.truncate(at),
         }
+        m
+    }
+
+    /// Largest allocation a decode of a `len`-byte payload may make. A
+    /// count sizes at most `len / MIN` items, and no counted item type
+    /// takes more than 6× its `MIN` in memory (a `String`: 24 bytes for
+    /// a 4-byte minimum); 8× leaves margin, 256 bytes an error message.
+    fn alloc_bound(len: usize) -> usize {
+        8 * len + 256
     }
 
     #[test]
-    fn decode_rejects_wrong_kind_and_bad_tag() {
-        let data = Frame { kind: FrameKind::Data, stream_id: 0, seq: 0, payload: Bytes::new() };
-        assert!(decode_ctrl(&data).is_err());
-        let bogus = Frame {
+    fn decoders_are_total_over_truncations_and_mutations() {
+        let mutations = ProptestConfig::default().cases.max(1_000);
+        for (name, g) in golden() {
+            let frame = encode_golden(&g);
+            for cut in 0..frame.payload.len() {
+                let cut_frame = frame_like(&frame, frame.payload[..cut].to_vec());
+                assert!(decode_golden(&cut_frame).is_err(), "{name} cut at {cut} decoded");
+            }
+            let mut rng =
+                TestRng::from_seed(name.bytes().fold(0, |h, b| h.wrapping_mul(31) ^ b as u64));
+            for i in 0..mutations {
+                let bytes = mutate(&frame.payload, &mut rng);
+                let len = bytes.len();
+                let (decoded, peak) = peak_alloc(|| decode_golden(&frame_like(&frame, bytes)));
+                assert!(
+                    peak <= alloc_bound(len),
+                    "{name} mutation {i}: a {len}-byte payload allocated {peak} bytes"
+                );
+                match decoded {
+                    Ok(Golden::Ctrl(m)) => round_trip_bytes(&m),
+                    Ok(Golden::Exception(e)) => round_trip_bytes(&e),
+                    Err(_) => {}
+                }
+            }
+        }
+    }
+
+    /// Payloads every decoder must refuse.
+    fn malformed() -> Vec<(&'static str, Frame)> {
+        let ctrl = |payload: Vec<u8>| Frame {
             kind: FrameKind::Control,
             stream_id: 0,
             seq: 0,
-            payload: Bytes::from_static(&[200]),
+            payload: payload.into(),
         };
-        assert!(decode_ctrl(&bogus).is_err());
+        let golden: std::collections::HashMap<_, _> = golden().into_iter().collect();
+        let payload = |name: &str| encode_golden(&golden[name]).payload.to_vec();
+        // `trace` follows the tag, `app_xml` and four `u64`s.
+        let plain = payload("assign");
+        let Golden::Ctrl(CtrlMsg::Assign(assign)) = &golden["assign"] else { unreachable!() };
+        let mut bad_bool = plain.clone();
+        let flag = 1 + 4 + assign.app_xml.len() + 4 * 8;
+        assert_eq!(bad_bool[flag], 0);
+        bad_bool[flag] = 2;
+        // `fault: None` is the tag before the two trailing `usize`s.
+        let mut bad_option = plain.clone();
+        let tag = bad_option.len() - 17;
+        assert_eq!(bad_option[tag], 0);
+        bad_option[tag] = 2;
+        let mut bad_site = payload("hello");
+        let site = 1 + 4 + 2 + 4 + "127.0.0.1:4000".len();
+        assert_eq!(bad_site[site], 1);
+        bad_site[site] = 2;
+        // `stages` is the last field of an empty report.
+        let mut huge_report = payload("report-empty");
+        let n = huge_report.len() - 4;
+        huge_report[n..].copy_from_slice(&u32::MAX.to_be_bytes());
+        huge_report.extend_from_slice(&payload("report")[..64]);
+        vec![
+            (
+                "data frame",
+                Frame { kind: FrameKind::Data, stream_id: 0, seq: 0, payload: Vec::new().into() },
+            ),
+            ("unknown tag", ctrl(vec![200])),
+            ("bool tag 2", ctrl(bad_bool)),
+            ("option tag 2", ctrl(bad_option)),
+            ("site tag 2", ctrl(bad_site)),
+            ("u32::MAX stages", ctrl(huge_report)),
+        ]
+    }
+
+    #[test]
+    fn malformed_payloads_are_refused() {
+        for (what, frame) in malformed() {
+            let (decoded, peak) = peak_alloc(|| decode_ctrl(&frame));
+            assert!(decoded.is_err(), "{what}: decoded to {decoded:?}");
+            assert!(peak <= alloc_bound(frame.payload.len()), "{what}: allocated {peak} bytes");
+        }
+        let bad =
+            Frame { kind: FrameKind::Exception, stream_id: 0, seq: 0, payload: vec![2].into() };
+        assert!(decode_exception(&bad).is_err());
     }
 }

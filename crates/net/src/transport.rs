@@ -96,11 +96,6 @@ impl RetryPolicy {
         self.base_delay.saturating_mul(factor as u32).min(self.max_delay)
     }
 
-    /// Total time the policy may spend sleeping across all attempts.
-    pub fn total_backoff(&self) -> Duration {
-        (0..self.max_attempts).map(|a| self.delay(a)).sum()
-    }
-
     /// Backoff before attempt `attempt` with seeded jitter: between 50%
     /// and 100% of [`RetryPolicy::delay`], the fraction drawn
     /// deterministically from `(jitter_seed, attempt)`. Desynchronizes
@@ -264,12 +259,6 @@ impl FrameStream {
     /// The peer's address.
     pub fn peer_addr(&self) -> std::io::Result<SocketAddr> {
         self.stream.peer_addr()
-    }
-
-    /// Clone the underlying socket handle (shared file description), e.g.
-    /// to write from one thread while another reads.
-    pub fn try_clone_stream(&self) -> std::io::Result<TcpStream> {
-        self.stream.try_clone()
     }
 
     /// Encode and write one frame, flushing to the socket immediately.
@@ -1119,6 +1108,5 @@ mod tests {
         assert_eq!(p.delay(3), Duration::from_millis(200));
         assert_eq!(p.delay(4), Duration::from_millis(300), "capped");
         assert_eq!(p.delay(5), Duration::from_millis(300));
-        assert!(p.total_backoff() >= Duration::from_millis(950));
     }
 }
