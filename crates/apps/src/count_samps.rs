@@ -15,7 +15,7 @@
 //! * Summary packet: `u32 n`, `f64 τ`, then `n` × (`u64 value`,
 //!   `f64 estimate`) — `records = n`.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -112,12 +112,15 @@ impl Default for CountSampsParams {
     }
 }
 
-/// Shared result handles, readable after (or during) a run.
+/// Shared result handles, read once the run is over.
 #[derive(Debug, Clone, Default)]
 pub struct CountSampsHandles {
     /// Exact ground-truth counts accumulated by the sources.
     pub truth: Arc<Mutex<HashMap<u64, u64>>>,
-    /// The central node's current answer: `(value, estimated count)`.
+    /// The central node's answer, `(value, estimated count)`. The
+    /// collector writes it when its input streams end and when it is
+    /// restored from a checkpoint; a run stopped before end of stream
+    /// leaves it as it was.
     pub answer: Arc<Mutex<Vec<(u64, f64)>>>,
 }
 
@@ -223,6 +226,24 @@ pub(crate) fn read_summary(payload: bytes::Bytes) -> (f64, Vec<(u64, f64)>) {
     (tau, entries)
 }
 
+/// Sum several summaries' estimates per value, in the order given, and
+/// return the `k` largest sums, ties broken by value.
+pub(crate) fn top_of_sum<'a>(
+    summaries: impl Iterator<Item = &'a Vec<(u64, f64)>>,
+    k: usize,
+) -> Vec<(u64, f64)> {
+    let mut combined: HashMap<u64, f64> = HashMap::new();
+    for entries in summaries {
+        for &(v, est) in entries {
+            *combined.entry(v).or_insert(0.0) += est;
+        }
+    }
+    let mut all: Vec<(u64, f64)> = combined.into_iter().collect();
+    all.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    all.truncate(k);
+    all
+}
+
 /// Source-side summarizer: maintains a counting sample of footprint `k`
 /// (the adjustment parameter) and periodically emits its top-k entries.
 struct Summarizer {
@@ -291,12 +312,14 @@ impl StreamProcessor for Summarizer {
 
 /// Central collector. In centralized mode it ingests raw records into
 /// one big counting sample; in distributed mode it keeps each source's
-/// latest summary and answers queries from their sum.
+/// latest summary and answers from their sum. It publishes the answer
+/// at end of stream and on restore, not per packet.
 struct Collector {
     centralized: bool,
     sample: CountingSamples,
     rng: SmallRng,
-    latest: HashMap<u32, Vec<(u64, f64)>>,
+    /// Keyed in stream-id order, so the per-value sums are too.
+    latest: BTreeMap<u32, Vec<(u64, f64)>>,
     merge_cost_per_entry: f64,
     top_k: usize,
     answer: Arc<Mutex<Vec<(u64, f64)>>>,
@@ -304,22 +327,11 @@ struct Collector {
 
 impl Collector {
     fn publish(&self) {
-        let mut combined: HashMap<u64, f64> = HashMap::new();
-        if self.centralized {
-            for e in self.sample.top_k(self.top_k) {
-                combined.insert(e.value, e.estimate);
-            }
+        *self.answer.lock() = if self.centralized {
+            self.sample.top_k(self.top_k).into_iter().map(|e| (e.value, e.estimate)).collect()
         } else {
-            for entries in self.latest.values() {
-                for &(v, est) in entries {
-                    *combined.entry(v).or_insert(0.0) += est;
-                }
-            }
-        }
-        let mut all: Vec<(u64, f64)> = combined.into_iter().collect();
-        all.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        all.truncate(self.top_k);
-        *self.answer.lock() = all;
+            top_of_sum(self.latest.values(), self.top_k)
+        };
     }
 }
 
@@ -341,7 +353,6 @@ impl StreamProcessor for Collector {
             ));
             self.latest.insert(packet.stream_id, entries);
         }
-        self.publish();
     }
 
     fn on_eos(&mut self, _api: &mut StageApi) {
@@ -356,13 +367,11 @@ impl StreamProcessor for Collector {
         if self.centralized || self.latest.is_empty() {
             return Vec::new();
         }
-        let mut streams: Vec<_> = self.latest.iter().collect();
-        streams.sort_by_key(|(id, _)| **id);
         let mut w = PayloadWriter::with_capacity(
-            4 + streams.iter().map(|(_, e)| 8 + e.len() * 16).sum::<usize>(),
+            4 + self.latest.values().map(|e| 8 + e.len() * 16).sum::<usize>(),
         );
-        w.put_u32(streams.len() as u32);
-        for (id, entries) in streams {
+        w.put_u32(self.latest.len() as u32);
+        for (id, entries) in &self.latest {
             w.put_u32(*id);
             w.put_u32(entries.len() as u32);
             for &(v, est) in entries {
@@ -423,7 +432,7 @@ pub fn build(params: &CountSampsParams) -> (Topology, CountSampsHandles) {
                     centralized,
                     sample: CountingSamples::new(footprint),
                     rng: seeded_stream(seed, 1_000),
-                    latest: HashMap::new(),
+                    latest: BTreeMap::new(),
                     merge_cost_per_entry: merge_cost,
                     top_k,
                     answer: Arc::clone(&answer),
@@ -683,7 +692,7 @@ mod tests {
             centralized: false,
             sample: CountingSamples::new(100),
             rng: seeded_stream(1, 1),
-            latest: HashMap::new(),
+            latest: BTreeMap::new(),
             merge_cost_per_entry: 0.0,
             top_k: 10,
             answer: Arc::clone(&answer),
@@ -697,18 +706,42 @@ mod tests {
             centralized: false,
             sample: CountingSamples::new(100),
             rng: seeded_stream(1, 2),
-            latest: HashMap::new(),
+            latest: BTreeMap::new(),
             merge_cost_per_entry: 0.0,
             top_k: 10,
             answer: Arc::new(Mutex::new(Vec::new())),
         };
         b.restore(&state);
         assert_eq!(b.latest, a.latest);
-        // Restore republishes, so the answer is warm before any packet.
+        // Restore publishes, so the answer is warm before any packet.
         assert_eq!(b.answer.lock().first(), Some(&(7, 13.0)));
 
         let centralized = Collector { centralized: true, ..a };
         assert!(centralized.snapshot().is_empty(), "centralized mode restarts fresh");
+    }
+
+    #[test]
+    fn distributed_answer_sums_streams_in_id_order() {
+        // 1e16 + 1 rounds back to 1e16, so only the id-order sum,
+        // ((1e16 + 1) + 1) + 1, is exactly 1e16; any order that adds two
+        // of the 1.0s first lands above it.
+        for _ in 0..20 {
+            let mut c = Collector {
+                centralized: false,
+                sample: CountingSamples::new(100),
+                rng: seeded_stream(1, 1),
+                latest: BTreeMap::new(),
+                merge_cost_per_entry: 0.0,
+                top_k: 10,
+                answer: Arc::new(Mutex::new(Vec::new())),
+            };
+            let mut api = StageApi::new();
+            for (stream, est) in [(0, 1e16), (1, 1.0), (2, 1.0), (3, 1.0)] {
+                c.process(write_summary(stream, 0, 1.0, [(7, est)].into_iter()), &mut api);
+            }
+            c.on_eos(&mut api);
+            assert_eq!(*c.answer.lock(), [(7, 1e16)]);
+        }
     }
 
     #[test]

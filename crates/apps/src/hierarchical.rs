@@ -25,7 +25,7 @@
 //! Wire format is count-samps' summary format (`u32 n`, `f64 τ`, then
 //! `n` × (`u64 value`, `f64 estimate`)), so tiers compose.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -43,7 +43,7 @@ use gates_sim::SimDuration;
 use gates_streams::metrics::{top_k_accuracy, AccuracyReport};
 use gates_streams::{CountingSamples, ZipfGenerator};
 
-use crate::count_samps::{read_summary, write_summary};
+use crate::count_samps::{read_summary, top_of_sum, write_summary};
 
 /// Parameters of a hierarchical count-samps run.
 #[derive(Debug, Clone)]
@@ -102,12 +102,14 @@ impl Default for HierarchicalParams {
     }
 }
 
-/// Shared result handles.
+/// Shared result handles, read once the run is over.
 #[derive(Debug, Clone, Default)]
 pub struct HierarchicalHandles {
     /// Exact ground truth accumulated by the sources.
     pub truth: Arc<Mutex<HashMap<u64, u64>>>,
-    /// The center's current answer.
+    /// The center's answer, `(value, estimated count)`. The center
+    /// writes it when its input streams end; a run stopped before end of
+    /// stream leaves it as it was.
     pub answer: Arc<Mutex<Vec<(u64, f64)>>>,
 }
 
@@ -226,7 +228,9 @@ impl StreamProcessor for SiteSummarizer {
 /// forwards a condensed top-k1.
 struct RegionalMerger {
     region_id: u32,
-    latest: HashMap<u32, (f64, Vec<(u64, f64)>)>,
+    /// `(τ, entries)` per site, keyed in stream-id order so the sums are
+    /// too.
+    latest: BTreeMap<u32, (f64, Vec<(u64, f64)>)>,
     entries_since_flush: u64,
     flush_every: u64,
     param: Option<ParamId>,
@@ -244,24 +248,10 @@ impl RegionalMerger {
         (k.round().max(1.0)) as usize
     }
 
-    fn merged(&self) -> (f64, Vec<(u64, f64)>) {
-        let mut combined: HashMap<u64, f64> = HashMap::new();
-        let mut tau = 1.0f64;
-        for (t, entries) in self.latest.values() {
-            tau = tau.max(*t);
-            for &(v, est) in entries {
-                *combined.entry(v).or_insert(0.0) += est;
-            }
-        }
-        let mut all: Vec<(u64, f64)> = combined.into_iter().collect();
-        all.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        (tau, all)
-    }
-
     fn flush(&mut self, api: &mut StageApi) {
         let k = self.current_k(api);
-        let (tau, mut entries) = self.merged();
-        entries.truncate(k);
+        let tau = self.latest.values().fold(1.0f64, |tau, (t, _)| tau.max(*t));
+        let entries = top_of_sum(self.latest.values().map(|(_, e)| e), k);
         api.emit(write_summary(self.region_id, self.seq, tau, entries.into_iter()));
         self.seq += 1;
         self.entries_since_flush = 0;
@@ -295,37 +285,22 @@ impl StreamProcessor for RegionalMerger {
 }
 
 /// Tier-0 central collector: merges regional summaries and publishes
-/// the global top-k.
+/// the global top-k at end of stream.
 struct CenterCollector {
-    latest: HashMap<u32, Vec<(u64, f64)>>,
+    /// Keyed in stream-id order, so the per-value sums are too.
+    latest: BTreeMap<u32, Vec<(u64, f64)>>,
     top_k: usize,
     answer: Arc<Mutex<Vec<(u64, f64)>>>,
-}
-
-impl CenterCollector {
-    fn publish(&self) {
-        let mut combined: HashMap<u64, f64> = HashMap::new();
-        for entries in self.latest.values() {
-            for &(v, est) in entries {
-                *combined.entry(v).or_insert(0.0) += est;
-            }
-        }
-        let mut all: Vec<(u64, f64)> = combined.into_iter().collect();
-        all.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        all.truncate(self.top_k);
-        *self.answer.lock() = all;
-    }
 }
 
 impl StreamProcessor for CenterCollector {
     fn process(&mut self, packet: Packet, _api: &mut StageApi) {
         let (_tau, entries) = read_summary(packet.payload);
         self.latest.insert(packet.stream_id, entries);
-        self.publish();
     }
 
     fn on_eos(&mut self, _api: &mut StageApi) {
-        self.publish();
+        *self.answer.lock() = top_of_sum(self.latest.values(), self.top_k);
     }
 }
 
@@ -350,7 +325,7 @@ pub fn build(params: &HierarchicalParams) -> (Topology, HierarchicalHandles) {
                 .queue_capacity(2_000)
                 .adaptation(AdaptationConfig::with_capacity(2_000.0))
                 .processor(move || CenterCollector {
-                    latest: HashMap::new(),
+                    latest: BTreeMap::new(),
                     top_k,
                     answer: Arc::clone(&answer),
                 }),
@@ -372,7 +347,7 @@ pub fn build(params: &HierarchicalParams) -> (Topology, HierarchicalHandles) {
                     .adaptation(AdaptationConfig::with_capacity(50.0))
                     .processor(move || RegionalMerger {
                         region_id: r as u32,
-                        latest: HashMap::new(),
+                        latest: BTreeMap::new(),
                         entries_since_flush: 0,
                         flush_every: (p.flush_every / 4).max(1),
                         param: None,

@@ -156,14 +156,16 @@ impl Alert {
     }
 }
 
-/// Shared results.
+/// Shared results, read once the run is over.
 #[derive(Debug, Clone, Default)]
 pub struct IntrusionHandles {
     /// Injected flooder addresses (ground truth).
     pub flooders: Arc<Mutex<Vec<u64>>>,
     /// Injected scanner addresses (ground truth).
     pub scanners: Arc<Mutex<Vec<u64>>>,
-    /// Alerts raised by the correlator.
+    /// Alerts raised by the correlator. It writes them when its input
+    /// streams end; a run stopped before end of stream leaves them as
+    /// they were.
     pub alerts: Arc<Mutex<Vec<Alert>>>,
 }
 
@@ -375,8 +377,8 @@ impl StreamProcessor for Sketcher {
     }
 }
 
-/// Central correlator: merges per-site reports, raises flood and scan
-/// alerts against global thresholds.
+/// Central correlator: merges per-site reports and, at end of stream,
+/// raises flood and scan alerts against global thresholds.
 struct Correlator {
     latest: HashMap<u32, SiteReport>,
     alert_fraction: f64,
@@ -459,7 +461,6 @@ impl Correlator {
 impl StreamProcessor for Correlator {
     fn process(&mut self, packet: Packet, _api: &mut StageApi) {
         self.latest.insert(packet.stream_id, read_site_report(packet.payload));
-        self.evaluate();
     }
 
     fn on_eos(&mut self, _api: &mut StageApi) {

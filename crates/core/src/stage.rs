@@ -101,6 +101,11 @@ pub trait StreamProcessor: 'static {
 
     /// Called once after every input stream has delivered end-of-stream.
     /// Flush any pending output here; the engine then forwards EOS.
+    ///
+    /// On every engine it runs after every packet delivered to the stage
+    /// has been processed, so a sink may compute its answer here alone.
+    /// It is not called on source stages, nor when a run is stopped
+    /// before its streams end.
     fn on_eos(&mut self, _api: &mut StageApi) {}
 
     /// Serialize this stage's replayable state for failover.

@@ -213,7 +213,8 @@ pub(crate) struct StageActor {
     /// Last poll interval requested by a source (used as the retry delay
     /// while the source is output-blocked).
     last_poll: SimDuration,
-    /// EOS markers have been queued on every out link.
+    /// `on_eos` has run (non-sources) and EOS markers have been queued
+    /// on every out link.
     eos_enqueued: bool,
     finished: bool,
     finish_time: Option<SimTime>,
@@ -344,6 +345,13 @@ impl StageActor {
         }
         if !self.eos_enqueued {
             self.eos_enqueued = true;
+            // Only now has every delivered packet been processed, so
+            // `on_eos` sees the same input here as on the wall-clock
+            // engines; what it emits goes out ahead of the markers.
+            if !self.is_source {
+                self.core.eos(ctx.now());
+                self.route_emitted(ctx);
+            }
             for i in 0..self.links.out.len() {
                 // EOS travels the link like data so it arrives after
                 // every previously sent packet.
@@ -418,11 +426,7 @@ impl StageActor {
             // immediately.
             ctx.send(from, EngineMsg::Ack, self.opts.control_latency);
             self.eos_remaining = self.eos_remaining.saturating_sub(1);
-            if self.eos_remaining == 0 {
-                self.core.eos(ctx.now());
-                self.route_emitted(ctx);
-                self.maybe_finish(ctx);
-            }
+            self.maybe_finish(ctx);
             return;
         }
         if self.queue.len() >= self.queue_capacity {

@@ -751,8 +751,10 @@ mod tests {
                 ParamTrajectory { name: "k1".into(), samples: Vec::new() },
             ],
         };
+        // Recorded when `Welford::default()` still had min = max = 0.
         let idle = StageReport {
             name: "collector".into(),
+            queue: Welford::from_parts(0, 0.0, 0.0, 0.0, 0.0),
             latency: Welford::new(),
             ..StageReport::default()
         };

@@ -6,7 +6,7 @@
 //! rate α), and a linear histogram for queue-length distributions.
 
 /// Whole-stream mean/variance via Welford's algorithm.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Welford {
     count: u64,
     mean: f64,
@@ -79,6 +79,14 @@ impl Welford {
     /// `count`/`mean`/`m2`/`min`/`max`), e.g. after a network hop.
     pub fn from_parts(count: u64, mean: f64, m2: f64, min: f64, max: f64) -> Self {
         Welford { count, mean, m2, min, max }
+    }
+}
+
+impl Default for Welford {
+    /// The empty accumulator, as [`Welford::new`]: nothing observed, so
+    /// `min` is `+∞` and `max` is `-∞`.
+    fn default() -> Self {
+        Welford::new()
     }
 }
 
@@ -354,6 +362,13 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn welford_default_is_empty() {
+        let w = Welford::default();
+        assert_eq!(w, Welford::new());
+        assert_eq!((w.min(), w.max()), (f64::INFINITY, f64::NEG_INFINITY));
+    }
 
     #[test]
     fn welford_matches_direct_computation() {

@@ -7,7 +7,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use gates::core::{Packet, SourceStatus, StageApi, StageBuilder, StreamProcessor, Topology};
+use gates::core::{
+    CostModel, Packet, SourceStatus, StageApi, StageBuilder, StreamProcessor, Topology,
+};
 use gates::engine::{DesEngine, RunOptions, ThreadedEngine};
 use gates::grid::{Deployer, DeploymentPlan, ResourceRegistry};
 use gates::net::{Bandwidth, LinkSpec};
@@ -154,4 +156,60 @@ fn an_emitting_sink_counts_the_same_on_both_engines() {
         (thr_sink.packets_in, thr_sink.packets_out, thr_sink.bytes_out),
         "DES and threaded count a sink's emissions alike"
     );
+}
+
+/// A sink that notes how many packets it had processed when `on_eos`
+/// ran.
+struct TallySink {
+    processed: u64,
+    at_eos: Arc<AtomicU64>,
+}
+impl StreamProcessor for TallySink {
+    fn process(&mut self, _p: Packet, _a: &mut StageApi) {
+        self.processed += 1;
+    }
+    fn on_eos(&mut self, _api: &mut StageApi) {
+        self.at_eos.store(self.processed, Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn on_eos_runs_after_every_packet_on_both_engines() {
+    let packets = 30u32;
+    // 10 ms of modeled service per packet behind a fast link that
+    // delivers one every 2 ms: the last EOS reaches the sink while most
+    // of the stream still waits in its queue.
+    let build = || {
+        let at_eos = Arc::new(AtomicU64::new(u64::MAX));
+        let mut t = Topology::new();
+        let s = t
+            .add_stage_raw(StageBuilder::new("src").processor(move || Burst { left: packets }))
+            .unwrap();
+        let sink_at_eos = Arc::clone(&at_eos);
+        let sink = StageBuilder::new("sink")
+            .cost(CostModel::per_packet(0.010))
+            .processor(move || TallySink { processed: 0, at_eos: Arc::clone(&sink_at_eos) });
+        let k = t.add_stage(sink).unwrap();
+        t.connect(s, k, LinkSpec::with_bandwidth(Bandwidth::mb_per_sec(10.0)).blocking());
+        let registry = ResourceRegistry::uniform_cluster(&["src", "sink"]);
+        let p = plan(&t, &registry);
+        (t, p, at_eos)
+    };
+
+    let (t1, p1, des_at_eos) = build();
+    let des_report = DesEngine::new(t1, &p1, RunOptions::default()).unwrap().run_to_completion();
+    let (t2, p2, thr_at_eos) = build();
+    let opts = RunOptions::default().max_time(SimTime::from_secs_f64(20.0));
+    let thr_report = ThreadedEngine::new(t2, &p2, opts).unwrap().run().unwrap();
+
+    for (engine, report, at_eos) in
+        [("des", &des_report, &des_at_eos), ("threaded", &thr_report, &thr_at_eos)]
+    {
+        assert_eq!(report.stage("sink").unwrap().packets_in, packets as u64, "{engine}");
+        assert_eq!(
+            at_eos.load(Ordering::Relaxed),
+            packets as u64,
+            "{engine}: on_eos ran before every packet was processed"
+        );
+    }
 }
